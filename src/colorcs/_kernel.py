@@ -21,17 +21,14 @@ active = _poly_cy if _poly_cy is not None else _poly_py
 BACKEND = active.BACKEND
 
 poly_add = active.poly_add
-poly_sub = active.poly_sub
 poly_neg = active.poly_neg
 poly_scale = active.poly_scale
 poly_mul = active.poly_mul
-poly_mul_monomial = active.poly_mul_monomial
 poly_diff = active.poly_diff
 poly_lead = active.poly_lead
 poly_divexact = active.poly_divexact
 poly_eval = active.poly_eval
 poly_eval_var = active.poly_eval_var
-poly_max_degree = active.poly_max_degree
 
 
 def available_backends():

@@ -13,6 +13,13 @@ site) unit first.  Words kept sparse are convenient to build with, but they
 are linearly dependent as operators (summing e(i, c, c) over c gives the
 identity), so canonical operator bookkeeping uses full-support words: one
 unit at every site, encoded as a flat tuple (a1, b1, ..., aN, bN).
+
+A full-support word w is, up to sign, the matrix unit |out><in| on the
+color space, with out colors ``w[0::2]`` and in colors ``w[1::2]``.  It
+acts only on the basis state equal to its in tuple, and a product w1 w2 is
+nonzero only when in(w1) == out(w2).  Callers find those matches with a
+dictionary lookup on the tuples; ``full_word_mul`` and ``full_word_act``
+then compute only the sign and the resulting word or state.
 """
 
 from __future__ import annotations
@@ -160,10 +167,6 @@ def word_from_units(ctx, units):
     return sign, ColorWord(ctx, tuple(slots))
 
 
-def identity_word(ctx):
-    return ColorWord(ctx, ())
-
-
 def permutation_terms(ctx, i, j):
     """(coeff, units) pairs summing to the graded site swap between i and j.
 
@@ -184,10 +187,12 @@ def permutation_terms(ctx, i, j):
 
 
 def full_word_mul(ctx, w1, w2):
-    """(sign, key) for the product of two full-support words, or None.
+    """(sign, key) for the product w1 w2 of full-support words whose tuples
+    match: in(w1) == out(w2), that is w1[1::2] == w2[0::2].
 
     The sign moves each unit of w2 left past the units of w1 at higher
-    sites; same-site contraction itself is sign-free.
+    sites; same-site contraction itself is sign-free.  The product key has
+    the out colors of w1 and the in colors of w2.
     """
     par = ctx._par
     exp = 0
@@ -195,39 +200,34 @@ def full_word_mul(ctx, w1, w2):
     out = []
     for idx in range(ctx.N):
         a1 = w1[2 * idx]
-        b1 = w1[2 * idx + 1]
-        a2 = w2[2 * idx]
-        if b1 != a2:
-            return None
-        u = (par[a1] + par[b1]) & 1
-        if u:
+        b2 = w2[2 * idx + 1]
+        if (par[a1] + par[w1[2 * idx + 1]]) & 1:
             exp += pref
-        pref += (par[a2] + par[w2[2 * idx + 1]]) & 1
+        pref += (par[w2[2 * idx]] + par[b2]) & 1
         out.append(a1)
-        out.append(w2[2 * idx + 1])
+        out.append(b2)
     if exp & 1:
         return -1, tuple(out)
     return 1, tuple(out)
 
 
-def full_word_act(ctx, key, state):
-    """(sign, new_state) for a full-support word on a basis state, or None."""
+def full_word_act(ctx, key):
+    """(sign, new_state) for a full-support word on its in tuple key[1::2].
+
+    The rightmost unit acts first, so an odd unit at a site sees only in
+    colors to its left in the Koszul sign.
+    """
     par = ctx._par
-    st = list(state)
-    sign = 1
-    for i in range(ctx.N - 1, -1, -1):
-        a = key[2 * i]
-        b = key[2 * i + 1]
-        if st[i] != b:
-            return None
-        if (par[a] + par[b]) & 1:
-            acc = 0
-            for k in range(i):
-                acc += par[st[k]]
-            if acc & 1:
-                sign = -sign
-        st[i] = a
-    return sign, tuple(st)
+    exp = 0
+    pref = 0
+    for idx in range(ctx.N):
+        b = key[2 * idx + 1]
+        if (par[key[2 * idx]] + par[b]) & 1:
+            exp += pref
+        pref += par[b]
+    if exp & 1:
+        return -1, key[0::2]
+    return 1, key[0::2]
 
 
 def full_word_parity(ctx, key) -> int:

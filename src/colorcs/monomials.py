@@ -53,24 +53,6 @@ def exponent(key: int, slot: int, shifts) -> int:
     return (key >> shifts[slot]) & _MASK
 
 
-def divides(kb: int, ka: int, shifts) -> bool:
-    """True when monomial kb divides monomial ka (fieldwise <=)."""
-    for sh in shifts:
-        if ((kb >> sh) & _MASK) > ((ka >> sh) & _MASK):
-            return False
-    return True
-
-
-def min_fields(ka: int, kb: int, shifts) -> int:
-    """Componentwise minimum (gcd of the two monomials)."""
-    out = 0
-    for sh in shifts:
-        ea = (ka >> sh) & _MASK
-        eb = (kb >> sh) & _MASK
-        out |= (ea if ea < eb else eb) << sh
-    return out
-
-
 def grlex_key(key: int, shifts) -> tuple[int, int]:
     """Sort key for graded lexicographic order (total degree, then lex)."""
     return (total_degree(key, shifts), key)

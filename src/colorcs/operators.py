@@ -8,6 +8,12 @@ rule; equal canonical forms mean equal operators, because full-support
 words act linearly independently on the color basis and monomials times
 derivatives are independent on polynomial amplitudes.
 
+A word's out colors are ``w[0::2]`` and its in colors ``w[1::2]``.  A
+product joins on the tuples: ``mul`` indexes the right operand's terms by
+their out tuple, and each left term looks up its in tuple, so only matching
+pairs (in1 == out2) are visited.  A word acts only on the basis state equal
+to its in tuple, which ``apply_to`` looks up in the state.
+
 The running term budget is a context variable so a verification run can
 bound intermediate growth without threading a parameter everywhere.
 """
@@ -277,16 +283,19 @@ class OperatorSum:
             return ctx.zero()
         grading = ctx.grading
         budget = _TERM_BUDGET.get()
+        by_out = {}
+        for key, g in other.terms.items():
+            by_out.setdefault(key[0][0::2], []).append((key, g))
         acc = {}
         dcache = {}
         for (w1, p), f in self.terms.items():
+            matches = by_out.get(w1[1::2])
+            if matches is None:
+                continue
             p_total = sum(p)
             nz = [i for i in range(ctx.N) if p[i]]
-            for (w2, q), g in other.terms.items():
-                hit = full_word_mul(grading, w1, w2)
-                if hit is None:
-                    continue
-                sign, w = hit
+            for (w2, q), g in matches:
+                sign, w = full_word_mul(grading, w1, w2)
                 if not p_total:
                     r = q
                     if min_deriv is not None and sum(r) < min_deriv:
@@ -332,35 +341,33 @@ class OperatorSum:
     # -- actions and views -----------------------------------------------------
 
     def apply_to(self, state):
-        """Apply to {color tuple: amplitude}; returns the same shape."""
-        ctx = self.ctx
-        grading = ctx.grading
+        """Apply to {color tuple: amplitude}; returns the same shape.
+
+        Each term reads only the amplitude at its in tuple."""
+        grading = self.ctx.grading
         out = {}
         dcache = {}
         for (w, p), f in self.terms.items():
-            for st, amp in state.items():
-                if not amp:
-                    continue
-                key = (id(amp), p)
-                damp = dcache.get(key)
-                if damp is None:
-                    damp = _diff_multi(amp, p)
-                    dcache[key] = damp
-                if not damp:
-                    continue
-                hit = full_word_act(grading, w, st)
-                if hit is None:
-                    continue
-                sgn, new_st = hit
-                val = f * damp
-                if sgn < 0:
-                    val = -val
-                prev = out.get(new_st)
-                tot = val if prev is None else prev + val
-                if tot:
-                    out[new_st] = tot
-                elif prev is not None:
-                    del out[new_st]
+            amp = state.get(w[1::2])
+            if not amp:
+                continue
+            key = (id(amp), p)
+            damp = dcache.get(key)
+            if damp is None:
+                damp = _diff_multi(amp, p)
+                dcache[key] = damp
+            if not damp:
+                continue
+            sgn, new_st = full_word_act(grading, w)
+            val = f * damp
+            if sgn < 0:
+                val = -val
+            prev = out.get(new_st)
+            tot = val if prev is None else prev + val
+            if tot:
+                out[new_st] = tot
+            elif prev is not None:
+                del out[new_st]
         return out
 
     def leading_by_deriv(self):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from colorcs.color import (
+    ColorWord,
     GradingContext,
     full_word_act,
     full_word_mul,
@@ -143,28 +144,57 @@ def rand_full_key(ctx, rng):
     return tuple(flat)
 
 
+def as_word(ctx, key):
+    """The full-support key as a ColorWord, whose act_basis is the
+    reference action."""
+    return ColorWord(
+        ctx, tuple((i + 1, key[2 * i], key[2 * i + 1]) for i in range(ctx.N))
+    )
+
+
+def test_full_word_act_matches_reference(sup3):
+    rng = random.Random(37)
+    states = list(sup3.basis_states())
+    for _ in range(100):
+        k = rand_full_key(sup3, rng)
+        ref = as_word(sup3, k)
+        for st in states:
+            if st == k[1::2]:
+                assert full_word_act(sup3, k) == ref.act_basis(st)
+            else:
+                assert ref.act_basis(st) is None
+
+
 def test_full_word_mul_matches_action(sup3):
     rng = random.Random(41)
     states = list(sup3.basis_states())
     for _ in range(200):
         w1 = rand_full_key(sup3, rng)
-        w2 = rand_full_key(sup3, rng)
-        prod = full_word_mul(sup3, w1, w2)
-        for st in states:
-            comp = None
-            hit = full_word_act(sup3, w2, st)
-            if hit is not None:
-                s2, mid = hit
-                hit2 = full_word_act(sup3, w1, mid)
-                if hit2 is not None:
-                    comp = (s2 * hit2[0], hit2[1])
-            direct = None
-            if prod is not None:
-                psgn, pkey = prod
-                got = full_word_act(sup3, pkey, st)
+        other = rand_full_key(sup3, rng)
+        # w2 matches w1 (out(w2) == in(w1)); other almost never does
+        w2 = tuple(c for pair in zip(w1[1::2], other[1::2]) for c in pair)
+        ref1 = as_word(sup3, w1)
+        for right in (w2, other):
+            ref2 = as_word(sup3, right)
+            composed = {}
+            for st in states:
+                hit = ref2.act_basis(st)
+                if hit is not None:
+                    hit2 = ref1.act_basis(hit[1])
+                    if hit2 is not None:
+                        composed[st] = (hit[0] * hit2[0], hit2[1])
+            if w1[1::2] != right[0::2]:
+                assert composed == {}
+                continue
+            psgn, pkey = full_word_mul(sup3, w1, right)
+            assert pkey[1::2] == right[1::2] and pkey[0::2] == w1[0::2]
+            ref = as_word(sup3, pkey)
+            direct = {}
+            for st in states:
+                got = ref.act_basis(st)
                 if got is not None:
-                    direct = (psgn * got[0], got[1])
-            assert direct == comp
+                    direct[st] = (psgn * got[0], got[1])
+            assert direct == composed
 
 
 def test_full_word_parity(sup3):
@@ -198,10 +228,9 @@ def test_expand_full_reproduces_sparse_action(sup3):
             sparse = w.act_basis(st)
             total = {}
             for k in keys:
-                hit = full_word_act(sup3, k, st)
-                if hit is None:
+                if k[1::2] != st:
                     continue
-                sg, out = hit
+                sg, out = full_word_act(sup3, k)
                 total[out] = total.get(out, 0) + sg
             total = {k: v for k, v in total.items() if v}
             expect = {}

@@ -197,25 +197,33 @@ def rand_state(ctx, rng, nterms=2):
     return {k: v for k, v in st.items() if v}
 
 
-def test_product_acts_as_composition(A11):
-    rng = random.Random(61)
-    for _ in range(40):
-        a = rand_operator(A11, rng, depth=1)
-        b = rand_operator(A11, rng, depth=1)
-        st = rand_state(A11, rng)
-        via_product = a.mul(b).apply_to(st)
-        via_steps = a.apply_to(b.apply_to(st))
-        assert via_product == via_steps
+@pytest.fixture(scope="module")
+def join_contexts(A11, A21):
+    # two colors on two sites can hide a mis-sliced join index
+    return (A11, A21, AlgebraContext(1, 1, 3))
 
 
-def test_associativity_random(A11):
-    rng = random.Random(67)
-    for _ in range(15):
-        a = rand_operator(A11, rng)
-        b = rand_operator(A11, rng)
-        c = rand_operator(A11, rng)
-        assert a.mul(b.mul(c)) == a.mul(b).mul(c)
-        assert a.mul(b + c) == a.mul(b) + a.mul(c)
+def test_product_acts_as_composition(join_contexts):
+    for ctx in join_contexts:
+        rng = random.Random(61)
+        for _ in range(40):
+            a = rand_operator(ctx, rng, depth=1)
+            b = rand_operator(ctx, rng, depth=1)
+            st = rand_state(ctx, rng)
+            via_product = a.mul(b).apply_to(st)
+            via_steps = a.apply_to(b.apply_to(st))
+            assert via_product == via_steps, ctx
+
+
+def test_associativity_random(join_contexts):
+    for ctx in join_contexts:
+        rng = random.Random(67)
+        for _ in range(15):
+            a = rand_operator(ctx, rng)
+            b = rand_operator(ctx, rng)
+            c = rand_operator(ctx, rng)
+            assert a.mul(b.mul(c)) == a.mul(b).mul(c), ctx
+            assert a.mul(b + c) == a.mul(b) + a.mul(c), ctx
 
 
 def test_apply_matches_unit_action(A11):
