@@ -63,8 +63,6 @@ def _build_parser():
                      help="coupling: 'symbolic' or a rational like 3/2")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="seed for sampled quantifiers and oracle picks")
-    run.add_argument("--oracle-degree", type=int, default=None,
-                     help="override the oracle probe degree")
     run.add_argument("--max-spin", type=int, default=3,
                      help="spin cap for the higher-spin cases (>= 1)")
     run.add_argument("--max-degree", type=int, default=2,
@@ -264,8 +262,6 @@ def main(argv=None):
         parser.error("--max-degree must be >= 0")
     if args.term_budget is not None and args.term_budget < 1:
         parser.error("--term-budget must be >= 1")
-    if args.oracle_degree is not None and args.oracle_degree < 1:
-        parser.error("--oracle-degree must be >= 1")
 
     try:
         manifest = load_manifest(args.manifest)
@@ -274,8 +270,8 @@ def main(argv=None):
 
     cfg = RunConfig(
         contexts=contexts, cases=cases, lam=lam, seed=args.seed,
-        oracle_degree=args.oracle_degree, max_spin=args.max_spin,
-        max_degree=args.max_degree, term_budget=args.term_budget,
+        max_spin=args.max_spin, max_degree=args.max_degree,
+        term_budget=args.term_budget,
         workers=workers, dump_residual=args.dump_residual,
     )
     reports = run_suite(cfg)

@@ -4,14 +4,18 @@ A :class:`ModelWorkspace` owns one algebra context and hands out the
 operators the verifier and the command line talk about: the two
 Hamiltonians, the Lax pairs, the Yangian generators T, the loop
 generators J and K, the Serre defect tensors, and the higher-spin
-W and Q families.  Everything is cached, so repeated requests (the
-verifier loops over thousands of color tuples) cost one dict lookup.
+W and Q families.  Every builder that constructs an operator is wrapped
+in one memo, a dict on the workspace keyed by (builder name, positional
+arguments), so repeated requests (the verifier loops over thousands of
+color tuples) cost one dict lookup.  Operators are never mutated after
+construction, so handing every caller the same object is safe.
 
 Site indices are 1-based, color indices run 1..n+m.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -31,6 +35,24 @@ def _pochhammer(a: int, k: int) -> int:
     return out
 
 
+def _memoized(build):
+    """Cache a builder's result on the workspace under (name, args).
+
+    The builder runs, argument checks included, before anything is
+    stored, so a builder that raises leaves no entry."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def cached(self, *args):
+        key = (name, args)
+        op = self._memo.get(key)
+        if op is None:
+            op = self._memo[key] = build(self, *args)
+        return op
+
+    return cached
+
+
 class ModelWorkspace:
     """Builder and cache front end for one (n, m, N) triple."""
 
@@ -43,21 +65,7 @@ class ModelWorkspace:
         f = self.ctx.field
         self._half = Fraction(1, 2)
         self._lam = f.lam
-        self._ham = {}
-        self._lax = {}
-        self._lax_pow = {}
-        self._row = {}
-        self._T = {}
-        self._J = {}
-        self._K = {}
-        self._Jsc = {}
-        self._units = {}
-        self._pairs = {}
-        self._tensors = {}
-        self._W = {}
-        self._Q = {}
-        self._j0sq = {}
-        self._x2 = None
+        self._memo = {}
 
     # -- small helpers ---------------------------------------------------
 
@@ -67,13 +75,9 @@ class ModelWorkspace:
     def colors(self):
         return range(1, self.dim + 1)
 
+    @_memoized
     def unit(self, i: int, a: int, b: int) -> OperatorSum:
-        key = (i, a, b)
-        op = self._units.get(key)
-        if op is None:
-            op = self.ctx.unit(i, a, b)
-            self._units[key] = op
-        return op
+        return self.ctx.unit(i, a, b)
 
     def _require_pairs(self, what: str):
         if self.N < 2:
@@ -81,17 +85,11 @@ class ModelWorkspace:
 
     # -- Hamiltonians ------------------------------------------------------
 
+    @_memoized
     def hamiltonian(self, kind: str) -> OperatorSum:
         if kind not in _KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        op = self._ham.get(kind)
-        if op is None:
-            self._require_pairs("the Hamiltonian")
-            op = self._build_hamiltonian(kind)
-            self._ham[kind] = op
-        return op
-
-    def _build_hamiltonian(self, kind: str) -> OperatorSum:
+        self._require_pairs("the Hamiltonian")
         ctx, f = self.ctx, self.ctx.field
         lam = self._lam
         kinetic = ctx.zero()
@@ -129,15 +127,12 @@ class ModelWorkspace:
         f = self.ctx.field
         return f.omega(i, j) if kind == RATIONAL else f.theta(i, j)
 
+    @_memoized
     def _lax_matrix(self, kind: str, which: str):
         if kind not in _KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         if which not in ("L", "M"):
             raise ValueError("which must be 'L' or 'M'")
-        key = (kind, which)
-        mat = self._lax.get(key)
-        if mat is not None:
-            return mat
         ctx, lam = self.ctx, self._lam
         rows = []
         for i in range(1, self.N + 1):
@@ -165,66 +160,52 @@ class ModelWorkspace:
                         ent = ctx.swap(i, j).scale(lam * kern)
                 row.append(ent)
             rows.append(tuple(row))
-        mat = tuple(rows)
-        self._lax[key] = mat
-        return mat
+        return tuple(rows)
 
+    @_memoized
     def lax_power(self, kind: str, p: int):
         """Entrywise operator power L^p of the Lax matrix (L^0 = 1)."""
         if p < 0:
             raise ValueError("matrix power must be nonnegative")
-        key = (kind, p)
-        mat = self._lax_pow.get(key)
-        if mat is not None:
-            return mat
         ctx = self.ctx
         if p == 0:
-            mat = tuple(
+            return tuple(
                 tuple(ctx.identity() if i == j else ctx.zero()
                       for j in range(self.N))
                 for i in range(self.N)
             )
-        else:
-            prev = self.lax_power(kind, p - 1)
-            lax = self._lax_matrix(kind, "L")
-            rows = []
-            for i in range(self.N):
-                row = []
-                for j in range(self.N):
-                    ent = ctx.zero()
-                    for k in range(self.N):
-                        ent = ent + prev[i][k].mul(lax[k][j])
-                    row.append(ent)
-                rows.append(tuple(row))
-            mat = tuple(rows)
-        self._lax_pow[key] = mat
-        return mat
+        prev = self.lax_power(kind, p - 1)
+        lax = self._lax_matrix(kind, "L")
+        rows = []
+        for i in range(self.N):
+            row = []
+            for j in range(self.N):
+                ent = ctx.zero()
+                for k in range(self.N):
+                    ent = ent + prev[i][k].mul(lax[k][j])
+                row.append(ent)
+            rows.append(tuple(row))
+        return tuple(rows)
 
+    @_memoized
     def _row_sum(self, kind: str, p: int, i: int) -> OperatorSum:
         """Sum over j of (L^p)_{ij}; shared by every color pair."""
-        key = (kind, p, i)
-        op = self._row.get(key)
-        if op is None:
-            mat = self.lax_power(kind, p)
-            op = self.ctx.zero()
-            for j in range(self.N):
-                op = op + mat[i - 1][j]
-            self._row[key] = op
+        mat = self.lax_power(kind, p)
+        op = self.ctx.zero()
+        for j in range(self.N):
+            op = op + mat[i - 1][j]
         return op
 
     # -- Yangian generators --------------------------------------------------
 
+    @_memoized
     def yangian_T(self, p: int, a: int, b: int) -> OperatorSum:
         """T_p with color indices (a, b), built from the trigonometric Lax."""
-        key = (p, a, b)
-        op = self._T.get(key)
-        if op is None:
-            if p < 0:
-                raise ValueError("use t_minus1 for the formal level -1 unit")
-            op = self.ctx.zero()
-            for i in range(1, self.N + 1):
-                op = op + self.unit(i, a, b).mul(self._row_sum(TRIG, p, i))
-            self._T[key] = op
+        if p < 0:
+            raise ValueError("use t_minus1 for the formal level -1 unit")
+        op = self.ctx.zero()
+        for i in range(1, self.N + 1):
+            op = op + self.unit(i, a, b).mul(self._row_sum(TRIG, p, i))
         return op
 
     def t_minus1(self, a: int, b: int, graded: bool = True) -> OperatorSum:
@@ -244,59 +225,49 @@ class ModelWorkspace:
 
     # -- loop generators -------------------------------------------------------
 
+    @_memoized
     def loop_J(self, p: int, a: int, b: int) -> OperatorSum:
         """J_p with color indices (a, b), built from the rational Lax."""
-        key = (p, a, b)
-        op = self._J.get(key)
-        if op is None:
-            if p < 0:
-                raise ValueError("loop degree must be nonnegative")
-            op = self.ctx.zero()
-            for i in range(1, self.N + 1):
-                op = op + self.unit(i, a, b).mul(self._row_sum(RATIONAL, p, i))
-            self._J[key] = op
+        if p < 0:
+            raise ValueError("loop degree must be nonnegative")
+        op = self.ctx.zero()
+        for i in range(1, self.N + 1):
+            op = op + self.unit(i, a, b).mul(self._row_sum(RATIONAL, p, i))
         return op
 
+    @_memoized
     def loop_K(self, p: int, a: int, b: int) -> OperatorSum:
         """K_p = sum_i e(i,a,b) x_i^p."""
-        key = (p, a, b)
-        op = self._K.get(key)
-        if op is None:
-            if p < 0:
-                raise ValueError("loop degree must be nonnegative")
-            f = self.ctx.field
-            op = self.ctx.zero()
-            for i in range(1, self.N + 1):
-                op = op + self.ctx.unit(i, a, b, coeff=f.monomial({i - 1: p}))
-            self._K[key] = op
+        if p < 0:
+            raise ValueError("loop degree must be nonnegative")
+        f = self.ctx.field
+        op = self.ctx.zero()
+        for i in range(1, self.N + 1):
+            op = op + self.ctx.unit(i, a, b, coeff=f.monomial({i - 1: p}))
         return op
 
+    @_memoized
     def j_scalar(self, p: int) -> OperatorSum:
         """Colorless total sum of (I^p)_{ij}; spin-1 seed of the W family."""
-        op = self._Jsc.get(p)
-        if op is None:
-            if p < 0:
-                raise ValueError("loop degree must be nonnegative")
-            op = self.ctx.zero()
-            for i in range(1, self.N + 1):
-                op = op + self._row_sum(RATIONAL, p, i)
-            self._Jsc[p] = op
+        if p < 0:
+            raise ValueError("loop degree must be nonnegative")
+        op = self.ctx.zero()
+        for i in range(1, self.N + 1):
+            op = op + self._row_sum(RATIONAL, p, i)
         return op
 
     # -- signed color contractions --------------------------------------------
 
+    @_memoized
     def contracted_pair(self, i: int, j: int, a: int, b: int) -> OperatorSum:
         """(E_i E_j)^{ab} = sum_c (-1)^p(c) e(i,a,c) e(j,c,b)."""
-        key = (i, j, a, b)
-        op = self._pairs.get(key)
-        if op is None:
-            op = self.ctx.zero()
-            for c in self.colors():
-                sign = -1 if self.parity(c) else 1
-                op = op + self.ctx.from_units([(i, a, c), (j, c, b)], coeff=sign)
-            self._pairs[key] = op
+        op = self.ctx.zero()
+        for c in self.colors():
+            sign = -1 if self.parity(c) else 1
+            op = op + self.ctx.from_units([(i, a, c), (j, c, b)], coeff=sign)
         return op
 
+    @_memoized
     def contracted_triple(self, i: int, j: int, k: int, a: int, b: int) -> OperatorSum:
         """(E_i E_j E_k)^{ab}; i and k may coincide."""
         op = self.ctx.zero()
@@ -307,20 +278,18 @@ class ModelWorkspace:
                     [(i, a, c), (j, c, d), (k, d, b)], coeff=sign)
         return op
 
+    @_memoized
     def j0_squared(self, c: int, d: int) -> OperatorSum:
         """(J_0 J_0)^{cd} = sum_e (-1)^p(e) J_0^{ce} J_0^{ed}."""
-        key = (c, d)
-        op = self._j0sq.get(key)
-        if op is None:
-            op = self.ctx.zero()
-            for e in self.colors():
-                sign = -1 if self.parity(e) else 1
-                op = op + self.loop_J(0, c, e).mul(self.loop_J(0, e, d)).scale(sign)
-            self._j0sq[key] = op
+        op = self.ctx.zero()
+        for e in self.colors():
+            sign = -1 if self.parity(e) else 1
+            op = op + self.loop_J(0, c, e).mul(self.loop_J(0, e, d)).scale(sign)
         return op
 
     # -- explicit level-2 Yangian generator -------------------------------------
 
+    @_memoized
     def t2_explicit(self, a: int, b: int) -> OperatorSum:
         """T_2 written out termwise rather than through the Lax square.
 
@@ -366,18 +335,14 @@ class ModelWorkspace:
         beta = pb * pc + pc * pd + pb * pd
         return -1 if beta % 2 else 1
 
+    @_memoized
     def tensor_O(self, a: int, b: int, c: int, d: int) -> OperatorSum:
         """Defect of the double T-bracket: an antisymmetrized T0 T1 product."""
-        key = ("O", a, b, c, d)
-        op = self._tensors.get(key)
-        if op is None:
-            t0ad = self.yangian_T(0, a, d)
-            t1cb = self.yangian_T(1, c, b)
-            t1ad = self.yangian_T(1, a, d)
-            t0cb = self.yangian_T(0, c, b)
-            op = (t0ad.mul(t1cb) - t1ad.mul(t0cb)).scale(-self._beta_sign(b, c, d))
-            self._tensors[key] = op
-        return op
+        t0ad = self.yangian_T(0, a, d)
+        t1cb = self.yangian_T(1, c, b)
+        t1ad = self.yangian_T(1, a, d)
+        t0cb = self.yangian_T(0, c, b)
+        return (t0ad.mul(t1cb) - t1ad.mul(t0cb)).scale(-self._beta_sign(b, c, d))
 
     def _distinct_triples(self):
         for i in range(1, self.N + 1):
@@ -389,33 +354,35 @@ class ModelWorkspace:
                         continue
                     yield i, j, k
 
-    def _mixed_core(self, a, b, c, d, deriv_part, kern2, kern3):
+    def _mixed_core(self, a, b, c, d, deriv_part, kern2, kern3, kern_tail):
         """Shared shape of the three graded defect tensors.
 
         deriv_part(i, j) supplies the two-site operator factor; kern2 and
-        kern3 supply the coefficient functions of the two triple sums.
+        kern3 supply the coefficient functions of the two triple sums, and
+        kern_tail(i, j) that of the unsigned two-site tail
+        e(i,a,b) e(j,c,d).
         """
         ctx = self.ctx
         core = ctx.zero()
+        tail = ctx.zero()
         for i in range(1, self.N + 1):
             for j in range(1, self.N + 1):
                 if i == j:
                     continue
                 word = ctx.from_units([(i, a, d), (j, c, b)])
                 core = core + word.mul(deriv_part(i, j))
+                tail = tail + ctx.from_units([(i, a, b), (j, c, d)]) \
+                    .scale(kern_tail(i, j))
         for i, j, k in self._distinct_triples():
             core = core + self.contracted_pair(i, j, a, d) \
                 .mul(self.unit(k, c, b)).scale(kern2(i, j, k))
             core = core - self.unit(i, a, d) \
                 .mul(self.contracted_pair(j, k, c, b)).scale(kern3(i, j, k))
-        return core.scale(self._beta_sign(b, c, d))
+        return core.scale(self._beta_sign(b, c, d)) + tail
 
+    @_memoized
     def tensor_M(self, a: int, b: int, c: int, d: int) -> OperatorSum:
         """Defect tensor of the Serre test run on J1 + T1."""
-        key = ("M", a, b, c, d)
-        op = self._tensors.get(key)
-        if op is not None:
-            return op
         ctx, f = self.ctx, self.ctx.field
         lam = self._lam
 
@@ -423,22 +390,14 @@ class ModelWorkspace:
             return (ctx.coord(i) + ctx.identity()).mul(ctx.deriv(i)) \
                 - (ctx.coord(j) + ctx.identity()).mul(ctx.deriv(j))
 
-        core = self._mixed_core(
+        return self._mixed_core(
             a, b, c, d, deriv_part,
             lambda i, j, k: lam * (f.x(i) + 1) / (f.x(i) - f.x(j)),
             lambda i, j, k: lam * (f.x(j) + 1) / (f.x(j) - f.x(k)),
+            lambda i, j: lam * (f.x(i) + f.x(j) + 2) / (f.x(i) - f.x(j)),
         )
-        tail = ctx.zero()
-        for i in range(1, self.N + 1):
-            for j in range(1, self.N + 1):
-                if i == j:
-                    continue
-                kern = lam * (f.x(i) + f.x(j) + 2) / (f.x(i) - f.x(j))
-                tail = tail + ctx.from_units([(i, a, b), (j, c, d)]).scale(kern)
-        op = core + tail
-        self._tensors[key] = op
-        return op
 
+    @_memoized
     def tensor_N(self, a: int, b: int, c: int, d: int) -> OperatorSum:
         """Defect tensor of the Serre test run on K1 + T1.
 
@@ -447,10 +406,6 @@ class ModelWorkspace:
         the triple kernels are x_i/(x_i - x_j), and the trailing two-site
         sum carries (x_i + x_j)/(x_i - x_j).
         """
-        key = ("N", a, b, c, d)
-        op = self._tensors.get(key)
-        if op is not None:
-            return op
         ctx, f = self.ctx, self.ctx.field
         lam = self._lam
 
@@ -459,22 +414,14 @@ class ModelWorkspace:
                 - ctx.coord(j).mul(ctx.deriv(j)) \
                 + ctx.scalar(f.x(i) - f.x(j))
 
-        core = self._mixed_core(
+        return self._mixed_core(
             a, b, c, d, deriv_part,
             lambda i, j, k: lam * f.x(i) / (f.x(i) - f.x(j)),
             lambda i, j, k: lam * f.x(j) / (f.x(j) - f.x(k)),
+            lambda i, j: lam * (f.x(i) + f.x(j)) / (f.x(i) - f.x(j)),
         )
-        tail = ctx.zero()
-        for i in range(1, self.N + 1):
-            for j in range(1, self.N + 1):
-                if i == j:
-                    continue
-                kern = lam * (f.x(i) + f.x(j)) / (f.x(i) - f.x(j))
-                tail = tail + ctx.from_units([(i, a, b), (j, c, d)]).scale(kern)
-        op = core + tail
-        self._tensors[key] = op
-        return op
 
+    @_memoized
     def tensor_P(self, a: int, b: int, c: int, d: int) -> OperatorSum:
         """Defect tensor for the two-parameter family T1 + x J1 + y K1.
 
@@ -482,38 +429,30 @@ class ModelWorkspace:
         diagonal (bare derivative differences, coupling-weighted kernels);
         the y block is the commutator remnant linear in x_i - x_j.
         """
-        key = ("P", a, b, c, d)
-        op = self._tensors.get(key)
-        if op is not None:
-            return op
         ctx, f = self.ctx, self.ctx.field
         lam = self._lam
 
         def deriv_part(i, j):
             return ctx.deriv(i) - ctx.deriv(j)
 
-        xcore = self._mixed_core(
+        xblock = self._mixed_core(
             a, b, c, d, deriv_part,
             lambda i, j, k: lam / (f.x(i) - f.x(j)),
             lambda i, j, k: lam / (f.x(j) - f.x(k)),
+            lambda i, j: (lam + lam) / (f.x(i) - f.x(j)),
         )
-        xtail = ctx.zero()
         ytail = ctx.zero()
-        sb = self._beta_sign(b, c, d)
         for i in range(1, self.N + 1):
             for j in range(1, self.N + 1):
                 if i == j:
                     continue
-                kern = (lam + lam) / (f.x(i) - f.x(j))
-                xtail = xtail + ctx.from_units([(i, a, b), (j, c, d)]).scale(kern)
                 ytail = ytail + ctx.from_units([(i, a, d), (j, c, b)]) \
                     .scale(f.x(i) - f.x(j))
-        op = self.tensor_O(a, b, c, d) \
-            + (xcore + xtail).scale(f.aux_x) \
-            + ytail.scale(sb).scale(f.aux_y)
-        self._tensors[key] = op
-        return op
+        return self.tensor_O(a, b, c, d) \
+            + xblock.scale(f.aux_x) \
+            + ytail.scale(self._beta_sign(b, c, d)).scale(f.aux_y)
 
+    @_memoized
     def q1_family(self, a: int, b: int) -> OperatorSum:
         """T1 + x J1 + y K1 with the two formal parameters left symbolic."""
         f = self.ctx.field
@@ -523,31 +462,25 @@ class ModelWorkspace:
 
     # -- higher-spin family -----------------------------------------------
 
+    @_memoized
     def x_squared(self) -> OperatorSum:
         """Multiplication by sum_i x_i^2, the spin raising kernel."""
-        if self._x2 is None:
-            f = self.ctx.field
-            tot = f.zero
-            for i in range(1, self.N + 1):
-                tot = tot + f.x(i) * f.x(i)
-            self._x2 = self.ctx.scalar(tot)
-        return self._x2
+        f = self.ctx.field
+        tot = f.zero
+        for i in range(1, self.N + 1):
+            tot = tot + f.x(i) * f.x(i)
+        return self.ctx.scalar(tot)
 
+    @_memoized
     def w_gen(self, s: int, p: int) -> OperatorSum:
         """Spin-s scalar generator by the bracket recursion."""
         self._check_spin(s, p)
-        key = (s, p)
-        op = self._W.get(key)
-        if op is None:
-            if s == 1:
-                op = self.j_scalar(p)
-            else:
-                prev = self.w_gen(s - 1, p + 2)
-                op = self.x_squared().bracket(prev) \
-                    .scale(Fraction(1, 2 * (p + s)))
-            self._W[key] = op
-        return op
+        if s == 1:
+            return self.j_scalar(p)
+        prev = self.w_gen(s - 1, p + 2)
+        return self.x_squared().bracket(prev).scale(Fraction(1, 2 * (p + s)))
 
+    @_memoized
     def w_closed(self, s: int, p: int) -> OperatorSum:
         """Spin-s scalar generator in one shot: nested brackets with a
         single rising-factorial prefactor."""
@@ -558,6 +491,7 @@ class ModelWorkspace:
             op = x2.bracket(op)
         return op.scale(Fraction(1, (2 ** (s - 1)) * _pochhammer(p + s, s - 1)))
 
+    @_memoized
     def w_leading(self, s: int, p: int) -> OperatorSum:
         """Top derivative part: sum_j (-x_j)^(s-1) d_j^(p+s-1)."""
         self._check_spin(s, p)
@@ -567,21 +501,16 @@ class ModelWorkspace:
             op = op + self.ctx.deriv(j, p + s - 1).scale((-f.x(j)) ** (s - 1))
         return op
 
+    @_memoized
     def q_gen(self, s: int, p: int, a: int, b: int) -> OperatorSum:
         """Spin-s colored generator by the bracket recursion."""
         self._check_spin(s, p)
-        key = (s, p, a, b)
-        op = self._Q.get(key)
-        if op is None:
-            if s == 1:
-                op = self.loop_J(p, a, b)
-            else:
-                prev = self.q_gen(s - 1, p + 2, a, b)
-                op = self.x_squared().bracket(prev) \
-                    .scale(Fraction(1, 2 * (p + s)))
-            self._Q[key] = op
-        return op
+        if s == 1:
+            return self.loop_J(p, a, b)
+        prev = self.q_gen(s - 1, p + 2, a, b)
+        return self.x_squared().bracket(prev).scale(Fraction(1, 2 * (p + s)))
 
+    @_memoized
     def q_closed(self, s: int, p: int, a: int, b: int) -> OperatorSum:
         self._check_spin(s, p)
         op = self.loop_J(p + 2 * s - 2, a, b)
@@ -590,6 +519,7 @@ class ModelWorkspace:
             op = x2.bracket(op)
         return op.scale(Fraction(1, (2 ** (s - 1)) * _pochhammer(p + s, s - 1)))
 
+    @_memoized
     def q_leading(self, s: int, p: int, a: int, b: int) -> OperatorSum:
         self._check_spin(s, p)
         f = self.ctx.field
@@ -601,6 +531,7 @@ class ModelWorkspace:
             op = op + self.ctx.unit(j, a, b, coeff=(-f.x(j)) ** (s - 1), deriv=dv)
         return op
 
+    @_memoized
     def q_free(self, s: int, p: int, a: int, b: int) -> OperatorSum:
         """Decoupled generator sum_i e(i,a,b) x_i^(s-1) d_i^(p+s-1).
 

@@ -22,6 +22,15 @@ separate code, and so are their sign functions (``full_word_act`` and
 instances per case and any disagreement is a hard failure of the whole
 run.
 
+The oracle checks the residual the symbolic verdict was read from: the
+sampled instances are drawn before the symbolic pass, which keeps their
+residuals and hands them over instead of recomputing them.  For an exact
+instance that residual is lhs - rhs; on every probe state its action must
+equal the compositional action of the two sides, and it must vanish
+exactly when all those actions do.  For a leading-order instance it is
+the truncated top; the oracle forms the full lhs - rhs, checks the action
+against it, and requires its top to equal the truncated residual.
+
 Why low-degree probe states suffice: write a residual in normal form
 as sum_k f_k(x) w_k d^k.  Pick a term whose derivative multi-index k*
 has minimal total degree.  Applied to the monomial x^{k*}, every term
@@ -226,18 +235,6 @@ def _state_is_zero(state) -> bool:
     return all(not amp for amp in state.values())
 
 
-def _state_substituted(state, subs):
-    if not subs:
-        return state
-    out = {}
-    for st, amp in state.items():
-        for slot, val in subs:
-            amp = amp.substitute(slot, val)
-        if amp:
-            out[st] = amp
-    return out
-
-
 # -- instances and cases ------------------------------------------------------
 
 
@@ -264,7 +261,6 @@ class RunConfig:
     cases: Optional[tuple] = None          # None: the full catalog
     lam: Optional[Fraction] = None         # None: keep the coupling symbolic
     seed: int = DEFAULT_SEED
-    oracle_degree: Optional[int] = None
     max_spin: int = 3
     max_degree: int = 2
     term_budget: Optional[int] = None
@@ -869,41 +865,24 @@ def residual_records(op, max_terms=200):
     return out
 
 
-def _lam_subs(ws, cfg):
-    if cfg.lam is None:
-        return ()
-    return ((ws.ctx.field.slot_lambda, Fraction(cfg.lam)),)
-
-
-def _op_substituted(op, subs):
-    for slot, val in subs:
-        out = {}
-        for k, fcoef in op.terms.items():
-            g = fcoef.substitute(slot, val)
-            if g:
-                out[k] = g
-        op = OperatorSum(op.ctx, out)
-    return op
-
-
-def _exact_residual(inst, subs):
+def _exact_residual(inst, lam):
     res = inst.lhs.operator() - inst.rhs.operator()
-    return _op_substituted(res, subs)
+    return res if lam is None else res.substitute_lambda(lam)
 
 
-def _leading_residual(inst, subs):
+def _leading_residual(inst, lam):
     if not isinstance(inst.lhs, Bracket):
         raise TypeError("leading-order instance needs a bracket on the left")
     top = inst.lhs.top(inst.dexp) - inst.rhs.operator().filtered(inst.dexp)
-    return _op_substituted(top, subs).filtered(inst.dexp)
+    if lam is not None:
+        top = top.substitute_lambda(lam)
+    return top.filtered(inst.dexp)
 
 
-def _probe_degree(ws, cfg, lhs_op, rhs_op):
+def _probe_degree(ws, lhs_op, rhs_op):
     # one degree past the residual's derivative order is complete; see
     # the module docstring for the argument
     d = max(lhs_op.max_deriv_degree(), rhs_op.max_deriv_degree(), 0) + 1
-    if cfg.oracle_degree is not None:
-        d = cfg.oracle_degree
     note = ""
     while d > 1 and _probe_count(ws, d) > PROBE_CAP:
         d -= 1
@@ -931,37 +910,36 @@ def _probe_states(ws, degree):
             yield {colors: amp}
 
 
-def _oracle_instance(ws, cfg, inst, subs, symbolic_verdict_ok):
-    """Double-entry check of one instance; returns (agrees, note)."""
+def _oracle_instance(ws, cfg, inst, residual):
+    """Double-entry check of one instance against `residual`, the very
+    residual its symbolic verdict was read from; returns (agrees, note).
+
+    For an exact instance that residual is the full lhs - rhs.  For a
+    leading-order instance it is the truncated top, and the full product
+    is formed here only to check it."""
     lhs_op = inst.lhs.operator()
     rhs_op = inst.rhs.operator()
-    degree, note = _probe_degree(ws, cfg, lhs_op, rhs_op)
-    residual = _op_substituted(lhs_op - rhs_op, subs)
+    degree, note = _probe_degree(ws, lhs_op, rhs_op)
+    full = residual if inst.dexp is None else _exact_residual(inst, cfg.lam)
     action_zero = True
     for psi in _probe_states(ws, degree):
-        via_lhs = inst.lhs.apply(psi)
-        via_rhs = inst.rhs.apply(psi)
-        composed = _state_substituted(_state_add(via_lhs, via_rhs, -1), subs)
-        direct = residual.apply_to(psi)
+        composed = _state_add(inst.lhs.apply(psi), inst.rhs.apply(psi), -1)
+        if cfg.lam is not None:
+            composed = {st: g for st, amp in composed.items()
+                        if (g := amp.substitute_lambda(cfg.lam))}
+        direct = full.apply_to(psi)
         if not _state_is_zero(_state_add(composed, direct, -1)):
             return False, "action path disagrees with the product path"
         if not _state_is_zero(composed):
             action_zero = False
     if inst.dexp is None:
-        symbolic_zero = residual.is_zero
         # the completeness argument needs the full probe degree
-        if not note and action_zero != symbolic_zero:
+        if not note and action_zero != residual.is_zero:
             return False, "action verdict disagrees with the symbolic verdict"
-        if symbolic_zero != symbolic_verdict_ok:
-            return False, "oracle residual disagrees with the run verdict"
-    else:
-        # cross-validate the truncated product path against the full one
-        full_top = residual.filtered(inst.dexp)
-        trunc = _leading_residual(inst, subs)
-        if full_top != trunc:
-            return False, "truncated bracket disagrees with the full product"
-        if full_top.is_zero != symbolic_verdict_ok:
-            return False, "oracle residual disagrees with the run verdict"
+    elif full.filtered(inst.dexp) != residual:
+        # the truncated product path that set the verdict must agree
+        # with the top of the full product
+        return False, "truncated bracket disagrees with the full product"
     return True, note
 
 
@@ -971,7 +949,6 @@ def verify_case(ws: ModelWorkspace, case: CaseSpec, cfg: RunConfig) -> IdentityR
         id=case.id, suite=case.suite, n=ws.n, m=ws.m, N=ws.N,
         verdict=VERDICT_PASS, oracle_agrees=True, instances=0, failed=0,
         residual_term_count=0, millis=0)
-    subs = _lam_subs(ws, cfg)
     notes = []
     if ws.N < case.min_sites:
         report.verdict = VERDICT_EMPTY
@@ -980,15 +957,20 @@ def verify_case(ws: ModelWorkspace, case: CaseSpec, cfg: RunConfig) -> IdentityR
     try:
         with term_budget(cfg.term_budget):
             instances = list(case.instances(ws, cfg))
-            results = []
-            for inst in instances:
+            # the picks depend only on the instance count, so they are drawn
+            # first and only the picked residuals are kept for the oracle
+            rng = random.Random(f"{cfg.seed}|{case.id}|oracle|{ws.n},{ws.m},{ws.N}")
+            picked = sorted(rng.sample(
+                range(len(instances)), min(ORACLE_INSTANCES, len(instances))))
+            kept = dict.fromkeys(picked)
+            for idx, inst in enumerate(instances):
                 if inst.dexp is None:
-                    residual = _exact_residual(inst, subs)
+                    residual = _exact_residual(inst, cfg.lam)
                 else:
-                    residual = _leading_residual(inst, subs)
-                ok = residual.is_zero
-                results.append(ok)
-                if not ok:
+                    residual = _leading_residual(inst, cfg.lam)
+                if idx in kept:
+                    kept[idx] = residual
+                if not residual.is_zero:
                     report.failed += 1
                     report.residual_term_count += len(residual)
                     if cfg.dump_residual and len(report.residuals) < 5:
@@ -1000,12 +982,9 @@ def verify_case(ws: ModelWorkspace, case: CaseSpec, cfg: RunConfig) -> IdentityR
                 report.verdict = VERDICT_EMPTY
             elif report.failed:
                 report.verdict = VERDICT_FAIL
-            rng = random.Random(f"{cfg.seed}|{case.id}|oracle|{ws.n},{ws.m},{ws.N}")
-            picked = sorted(rng.sample(
-                range(len(instances)), min(ORACLE_INSTANCES, len(instances))))
-            for idx in picked:
+            for idx, residual in kept.items():
                 agrees, note = _oracle_instance(
-                    ws, cfg, instances[idx], subs, results[idx])
+                    ws, cfg, instances[idx], residual)
                 if note:
                     notes.append(note)
                 if not agrees:
@@ -1043,8 +1022,7 @@ def _run_one_context(context, ids, cfg):
 
 
 def _job(args):
-    context, ids, cfg = args
-    return [r.as_dict() for r in _run_one_context(context, ids, cfg)]
+    return _run_one_context(*args)
 
 
 def run_suite(cfg: RunConfig):
@@ -1060,15 +1038,7 @@ def run_suite(cfg: RunConfig):
         jobs = [(ctx, ids, cfg) for ctx in contexts]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             for chunk in pool.map(_job, jobs):
-                for raw in chunk:
-                    reports.append(IdentityReport(**{
-                        **{k: raw[k] for k in (
-                            "id", "suite", "n", "m", "N", "verdict",
-                            "oracle_agrees", "instances", "failed",
-                            "residual_term_count", "millis")},
-                        "note": raw.get("note", ""),
-                        "residuals": raw.get("residuals", []),
-                    }))
+                reports.extend(chunk)
     else:
         for ctx in contexts:
             reports.extend(_run_one_context(ctx, ids, cfg))

@@ -1,5 +1,6 @@
 """Builder-level checks with hand-frozen expected operators."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -293,3 +294,51 @@ def test_registry_resolves_names(ws112):
 def test_registry_rejects_bad_names(ws112, bad):
     with pytest.raises(UnknownNameError):
         ws112.build(bad)
+
+
+# one argument tuple per memoized builder
+_MEMOIZED = {
+    "unit": (1, 1, 2),
+    "hamiltonian": (TRIG,),
+    "_lax_matrix": (RATIONAL, "M"),
+    "lax_power": (TRIG, 2),
+    "_row_sum": (RATIONAL, 1, 2),
+    "yangian_T": (1, 1, 2),
+    "loop_J": (1, 2, 1),
+    "loop_K": (2, 1, 2),
+    "j_scalar": (1,),
+    "contracted_pair": (1, 2, 1, 2),
+    "contracted_triple": (1, 2, 1, 1, 2),
+    "j0_squared": (1, 2),
+    "t2_explicit": (1, 2),
+    "tensor_O": (1, 2, 2, 1),
+    "tensor_M": (1, 2, 2, 1),
+    "tensor_N": (2, 1, 1, 2),
+    "tensor_P": (1, 1, 2, 2),
+    "q1_family": (1, 2),
+    "x_squared": (),
+    "w_gen": (2, 1),
+    "w_closed": (2, 1),
+    "w_leading": (2, 1),
+    "q_gen": (2, 0, 1, 2),
+    "q_closed": (2, 0, 1, 2),
+    "q_leading": (2, 0, 1, 2),
+    "q_free": (2, 1, 2, 1),
+}
+
+
+def test_every_builder_is_memoized(ws112):
+    wrapped = {name for name, fn in vars(ModelWorkspace).items()
+               if inspect.isfunction(fn) and hasattr(fn, "__wrapped__")}
+    assert wrapped == set(_MEMOIZED)
+    for name, args in _MEMOIZED.items():
+        build = getattr(ws112, name)
+        assert build(*args) is build(*args), name
+
+
+def test_failed_build_leaves_no_memo_entry():
+    ws = ModelWorkspace(1, 1, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ws.yangian_T(-1, 1, 1)
+    assert ws._memo == {}

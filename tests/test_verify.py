@@ -244,3 +244,37 @@ def test_manifest_flags_oracle_disagreement():
     rep = _report(oracle_agrees=False)
     out = vf.compare_to_manifest([rep], manifest, vf.RunConfig())
     assert any("double-entry" in line for line in out)
+
+
+def _instance(ws, case_id, label):
+    cfg = vf.RunConfig(contexts=((ws.n, ws.m, ws.N),))
+    for inst in vf.CASES[case_id].instances(ws, cfg):
+        if inst.label == label:
+            return cfg, inst
+    raise LookupError(label)
+
+
+def test_oracle_rejects_a_wrong_exact_residual(ws112):
+    cfg, inst = _instance(ws112, "eq2.7", "i=1 abcd=1221")
+    residual = vf._exact_residual(inst, None)
+    assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
+    wrong = residual + ws112.unit(1, 1, 2)
+    agrees, note = vf._oracle_instance(ws112, cfg, inst, wrong)
+    assert not agrees
+    assert "product path" in note
+
+
+def test_oracle_rejects_a_wrong_truncated_residual(ws112):
+    from colorcs.operators import OperatorSum
+
+    cfg, inst = _instance(ws112, "eq3.34", "s=1 s'=2 p=1 q=1")
+    residual = vf._leading_residual(inst, None)
+    assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
+    # the truncated residual of a top with one term dropped
+    top = inst.lhs.top(inst.dexp)
+    dropped = OperatorSum(top.ctx, dict(list(top.terms.items())[1:]))
+    wrong = (dropped - inst.rhs.operator()).filtered(inst.dexp)
+    assert not wrong.is_zero
+    agrees, note = vf._oracle_instance(ws112, cfg, inst, wrong)
+    assert not agrees
+    assert "truncated bracket" in note
