@@ -13,11 +13,24 @@ is what the rest of the package leans on.  Addition and multiplication use
 the Henrici reductions, so the expensive gcds run on the smallest possible
 inputs; gcds of denominator pairs are memoized on the field because the
 same binomial products recur constantly.
+
+The operators are built from few distinct coefficients, so the same sums,
+products and derivatives recur many times within one verification.  Inside
+``ScalarField.arithmetic_memo()`` the field keeps every result of ``+``,
+``*`` and ``diff`` under (operation, operand, other operand or slot), so
+each distinct one is computed once; outside it nothing is stored.  The
+keys are the operands themselves, compared by the structural ``__eq__``,
+which includes the field, so only an equal computation can hit.  A hit
+hands out the stored object, which is sound because a RationalFunction
+and its ``num``/``den`` dicts are never mutated after construction: every
+operation builds new ones.  The scope is bounded by its caller (one
+verdict in ``verify``) and drops the memo on exit.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import monomials
@@ -41,6 +54,24 @@ _GCD_MEMO_CAP = 100_000
 
 def _fingerprint(p):
     return tuple(sorted(p.items()))
+
+
+def _memoized(compute):
+    """Share a RationalFunction method's results inside the field's
+    arithmetic memo, keyed by (method name, operand, argument)."""
+    tag = compute.__name__
+
+    def cached(self, arg):
+        memo = self.field._memo
+        if memo is None:
+            return compute(self, arg)
+        key = (tag, self, arg)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = compute(self, arg)
+        return out
+
+    return cached
 
 
 def _poly_pow(p, k, shifts):
@@ -84,9 +115,22 @@ class ScalarField:
         self._omega_cache = {}
         self._theta_cache = {}
         self._gcd_memo = {}
+        self._memo = None
 
     def __repr__(self):
         return f"ScalarField(N={self.N})"
+
+    @contextmanager
+    def arithmetic_memo(self):
+        """Compute each distinct sum, product and derivative of this
+        field's functions once inside the block (see the module
+        docstring); the memo is dropped when the block exits."""
+        outer = self._memo
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = outer
 
     # -- polynomial-level helpers --------------------------------------
 
@@ -274,11 +318,17 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.field
         if not self.num:
             return o
         if not o.num:
             return self
+        return self._add(o)
+
+    __radd__ = __add__
+
+    @_memoized
+    def _add(self, o):
+        f = self.field
         n1, d1 = self.num, self.den
         n2, d2 = o.num, o.den
         sh = f.shifts
@@ -310,8 +360,6 @@ class RationalFunction:
             t = poly_divexact(t, g2, sh)
             g = poly_divexact(g, g2, sh)
         return f._make(t, poly_mul(poly_mul(g, q1, sh), q2, sh))
-
-    __radd__ = __add__
 
     def __neg__(self):
         if not self.num:
@@ -348,9 +396,15 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.field
         if not self.num or not o.num:
-            return f.zero
+            return self.field.zero
+        return self._mul(o)
+
+    __rmul__ = __mul__
+
+    @_memoized
+    def _mul(self, o):
+        f = self.field
         sh = f.shifts
         n1, d1 = self.num, self.den
         n2, d2 = o.num, o.den
@@ -370,8 +424,6 @@ class RationalFunction:
             n2 = poly_divexact(n2, g2, sh)
             d1 = poly_divexact(d1, g2, sh)
         return f._make(poly_mul(n1, n2, sh), poly_mul(d1, d2, sh))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -411,9 +463,13 @@ class RationalFunction:
 
     def diff(self, slot: int):
         """Partial derivative with respect to the variable in `slot`."""
-        f = self.field
         if not self.num:
-            return f.zero
+            return self.field.zero
+        return self._diff(slot)
+
+    @_memoized
+    def _diff(self, slot):
+        f = self.field
         sh = f.shifts
         nd = poly_diff(self.num, slot, sh)
         dd = poly_diff(self.den, slot, sh)

@@ -20,7 +20,12 @@ state and ``mul``'s join of in tuples against out tuples are deliberately
 separate code, and so are their sign functions (``full_word_act`` and
 ``full_word_mul``).  The two verdicts are compared on a seeded sample of
 instances per case and any disagreement is a hard failure of the whole
-run.
+run.  Both paths run on the same coefficient field, and each verdict runs
+inside that field's arithmetic memo (see ``scalar``), so a sum, product or
+derivative one path computed is handed to the other.  A hit returns the
+canonical result recomputation would return, so the memo saves work
+without coupling the two paths: the independence lives in the operator
+product and action code, which the memo does not touch.
 
 The oracle checks the residual the symbolic verdict was read from: the
 sampled instances are drawn before the symbolic pass, which keeps their
@@ -955,7 +960,7 @@ def verify_case(ws: ModelWorkspace, case: CaseSpec, cfg: RunConfig) -> IdentityR
         report.millis = int((time.perf_counter() - t0) * 1000)
         return report
     try:
-        with term_budget(cfg.term_budget):
+        with term_budget(cfg.term_budget), ws.ctx.field.arithmetic_memo():
             instances = list(case.instances(ws, cfg))
             # the picks depend only on the instance count, so they are drawn
             # first and only the picked residuals are kept for the oracle

@@ -12,6 +12,7 @@ import pytest
 
 from colorcs import PoleError, ScalarField
 from colorcs.errors import ContextMismatchError
+from colorcs.scalar import RationalFunction
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +214,70 @@ def test_evaluation_is_a_homomorphism(F3):
         assert vs == va + vb
         assert vp == va * vb
         hits += 1
+
+
+def _copy(rf):
+    """An equal function that is a distinct object."""
+    return RationalFunction(rf.field, dict(rf.num), dict(rf.den))
+
+
+def _memo_operands(field):
+    a = field.theta(1, 2) * field.x(3) + field.omega(2, 3)
+    b = field.omega(1, 3) + field.lam
+    return a, b
+
+
+def test_arithmetic_memo_shares_equal_computations():
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    plain = [a * b, a + b, a.diff(0), a.diff(1)]
+    with F.arithmetic_memo():
+        first = [a * b, a + b, a.diff(0), a.diff(1)]
+        a2, b2 = _copy(a), _copy(b)
+        again = [a2 * b2, a2 + b2, a2.diff(0), a2.diff(1)]
+    assert first == plain
+    assert all(x is y for x, y in zip(first, again))
+
+
+def test_arithmetic_memo_keys_on_operation_and_slot():
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    total, d0, d1 = a + b, a.diff(0), a.diff(1)
+    assert d0 != d1
+    with F.arithmetic_memo():
+        product = a * b
+        assert a + b == total != product
+        assert a.diff(0) == d0
+        assert a.diff(1) == d1
+
+
+def test_arithmetic_memo_never_crosses_fields():
+    F, G = ScalarField(3), ScalarField(3)
+    a, b = _memo_operands(F)
+    c, d = _memo_operands(G)
+    assert a.num == c.num and a.den == c.den
+    with F.arithmetic_memo(), G.arithmetic_memo():
+        for x, y, field in ((a, b, F), (c, d, G)):
+            assert (x * y).field is field
+            assert (x + y).field is field
+            assert x.diff(0).field is field
+
+
+def test_arithmetic_memo_lives_only_inside_its_block():
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    assert F._memo is None
+    assert a * b is not a * b
+    assert F._memo is None
+    with F.arithmetic_memo():
+        assert F._memo == {}
+        product = a * b
+        assert a * b is product
+        with F.arithmetic_memo():
+            assert F._memo == {}
+        assert len(F._memo) == 1
+    assert F._memo is None
+    with pytest.raises(PoleError):
+        with F.arithmetic_memo():
+            a / F.zero
+    assert F._memo is None

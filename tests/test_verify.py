@@ -158,6 +158,31 @@ def test_term_budget_reports_truncation(ws112):
     rep = run_one(ws112, "eq3.5", term_budget=3)
     assert rep.verdict == "truncated"
     assert "terms" in rep.note
+    assert ws112.ctx.field._memo is None
+
+
+def test_verdict_runs_inside_its_own_arithmetic_memo(ws112):
+    seen = []
+
+    def record(ws, cfg):
+        seen.append(ws.ctx.field._memo)
+        return []
+
+    def fail(ws, cfg):
+        raise RuntimeError("case generator failed")
+
+    cfg = vf.RunConfig()
+    rep = vf.verify_case(ws112, vf.CaseSpec("probe", "structural", "", 1,
+                                            record), cfg)
+    assert rep.verdict == "empty-quantifier"
+    assert seen == [{}]
+    assert ws112.ctx.field._memo is None
+    run_one(ws112, "eq2.7")
+    assert ws112.ctx.field._memo is None
+    with pytest.raises(RuntimeError):
+        vf.verify_case(ws112, vf.CaseSpec("boom", "structural", "", 1, fail),
+                       cfg)
+    assert ws112.ctx.field._memo is None
 
 
 def test_residual_dump_is_bounded(ws112):
@@ -278,3 +303,13 @@ def test_oracle_rejects_a_wrong_truncated_residual(ws112):
     agrees, note = vf._oracle_instance(ws112, cfg, inst, wrong)
     assert not agrees
     assert "truncated bracket" in note
+
+
+def test_oracle_rejects_a_residual_its_probes_cannot_see(ws112, monkeypatch):
+    # constant probes are annihilated by a first-order residual, so the
+    # action path agrees with it and only the verdict comparison can fire
+    cfg, inst = _instance(ws112, "eq2.7", "i=1 abcd=1221")
+    monkeypatch.setattr(vf, "_probe_degree", lambda ws, lhs, rhs: (0, ""))
+    wrong = ws112.ctx.deriv(1)
+    assert vf._oracle_instance(ws112, cfg, inst, wrong) == (
+        False, "action verdict disagrees with the symbolic verdict")
