@@ -173,7 +173,8 @@ def _print_operator(args, parser):
     _validate_contexts(((args.n, args.m, args.N),), parser)
     ws = ModelWorkspace(args.n, args.m, args.N)
     try:
-        op = ws.build(args.print_operator)
+        with ws.ctx.field.arithmetic_memo():
+            op = ws.build(args.print_operator)
     except UnknownNameError as exc:
         parser.error(str(exc))
     except (ValueError, CapExceededError) as exc:

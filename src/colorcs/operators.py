@@ -287,7 +287,6 @@ class OperatorSum:
         for key, g in other.terms.items():
             by_out.setdefault(key[0][0::2], []).append((key, g))
         acc = {}
-        dcache = {}
         for (w1, p), f in self.terms.items():
             matches = by_out.get(w1[1::2])
             if matches is None:
@@ -305,13 +304,11 @@ class OperatorSum:
                         val = -val
                     _acc_add(acc, (w, r), val, budget)
                     continue
-                gid = id(g)
                 for ts in product(*(range(p[i] + 1) for i in nz)):
                     t = [0] * ctx.N
                     for i, ti in zip(nz, ts):
                         t[i] = ti
-                    t = tuple(t)
-                    dg = _dcache_get(dcache, g, gid, t)
+                    dg = _diff_multi(g, t)
                     if not dg:
                         continue
                     r = tuple(p[i] - t[i] + q[i] for i in range(ctx.N))
@@ -327,13 +324,14 @@ class OperatorSum:
                     _acc_add(acc, (w, r), val, budget)
         return OperatorSum(ctx, acc)
 
-    def bracket(self, other):
-        """Graded commutator [self, other}: anticommutator when both odd."""
+    def bracket(self, other, min_deriv=None):
+        """Graded commutator [self, other}: anticommutator when both odd;
+        min_deriv truncates both products as in ``mul``."""
         self._check(other)
         pa = self.parity()
         pb = other.parity()
-        ab = self.mul(other)
-        ba = other.mul(self)
+        ab = self.mul(other, min_deriv)
+        ba = other.mul(self, min_deriv)
         if pa and pb:
             return ab + ba
         return ab - ba
@@ -346,16 +344,11 @@ class OperatorSum:
         Each term reads only the amplitude at its in tuple."""
         grading = self.ctx.grading
         out = {}
-        dcache = {}
         for (w, p), f in self.terms.items():
             amp = state.get(w[1::2])
             if not amp:
                 continue
-            key = (id(amp), p)
-            damp = dcache.get(key)
-            if damp is None:
-                damp = _diff_multi(amp, p)
-                dcache[key] = damp
+            damp = _diff_multi(amp, p)
             if not damp:
                 continue
             sgn, new_st = full_word_act(grading, w)
@@ -480,21 +473,3 @@ def _acc_add(acc, key, val, budget):
         else:
             del acc[key]
 
-
-def _dcache_get(dcache, g, gid, t):
-    key = (gid, t)
-    got = dcache.get(key)
-    if got is not None:
-        return got
-    if not any(t):
-        dcache[key] = g
-        return g
-    for i, ti in enumerate(t):
-        if ti:
-            parent = list(t)
-            parent[i] -= 1
-            prev = _dcache_get(dcache, g, gid, tuple(parent))
-            got = prev.diff(i) if prev else prev
-            break
-    dcache[key] = got
-    return got

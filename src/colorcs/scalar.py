@@ -11,20 +11,23 @@ RationalFunction is a canonical pair (num, den) over Z with
 Structural equality of canonical pairs is then mathematical equality, which
 is what the rest of the package leans on.  Addition and multiplication use
 the Henrici reductions, so the expensive gcds run on the smallest possible
-inputs; gcds of denominator pairs are memoized on the field because the
-same binomial products recur constantly.
+inputs.
 
 The operators are built from few distinct coefficients, so the same sums,
-products and derivatives recur many times within one verification.  Inside
-``ScalarField.arithmetic_memo()`` the field keeps every result of ``+``,
-``*`` and ``diff`` under (operation, operand, other operand or slot), so
-each distinct one is computed once; outside it nothing is stored.  The
-keys are the operands themselves, compared by the structural ``__eq__``,
-which includes the field, so only an equal computation can hit.  A hit
-hands out the stored object, which is sound because a RationalFunction
-and its ``num``/``den`` dicts are never mutated after construction: every
-operation builds new ones.  The scope is bounded by its caller (one
-verdict in ``verify``) and drops the memo on exit.
+products, derivatives and denominator gcds recur many times within one
+verification.  ``ScalarField.arithmetic_memo()`` is the package's one
+coefficient cache, and this module alone decides what it shares and for
+how long.  Inside it the field keeps every result of ``+``, ``*`` and
+``diff`` under (operation, operand, other operand or slot), and every gcd
+of a denominator pair under ("gcd", the pair's order-free fingerprints),
+so each distinct one is computed once; outside it nothing is stored.  The
+arithmetic keys are the operands themselves, compared by the structural
+``__eq__``, which includes the field, so only an equal computation can
+hit.  A hit hands out the stored object, which is sound because a
+RationalFunction and its ``num``/``den`` dicts are never mutated after
+construction: every operation builds new ones.  The scope is bounded by
+its caller (one verdict in ``verify``, one build in ``cli``) and drops the
+memo on exit.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from .errors import ContextMismatchError, PoleError
 from .gcdtools import poly_content, poly_gcd
 
 _MASK = monomials._MASK
-
-_GCD_MEMO_CAP = 100_000
 
 
 def _fingerprint(p):
@@ -112,9 +113,6 @@ class ScalarField:
                 sa, sb = pos[ia], pos[ib]
                 cands.append({1 << self.shifts[sa]: 1, 1 << self.shifts[sb]: -1})
         self.candidates = tuple(cands)
-        self._omega_cache = {}
-        self._theta_cache = {}
-        self._gcd_memo = {}
         self._memo = None
 
     def __repr__(self):
@@ -138,19 +136,19 @@ class ScalarField:
         return poly_gcd(a, b, self.shifts, self.candidates)
 
     def _gcd_dens(self, d1, d2):
-        """Memoized gcd for canonical (positive-lead) denominators."""
+        """gcd of canonical (positive-lead) denominators, shared inside the
+        arithmetic memo."""
         if d1 == d2:
             return d1
+        memo = self._memo
+        if memo is None:
+            return poly_gcd(d1, d2, self.shifts, self.candidates)
         k1 = _fingerprint(d1)
         k2 = _fingerprint(d2)
-        key = (k1, k2) if k1 <= k2 else (k2, k1)
-        memo = self._gcd_memo
+        key = ("gcd", k1, k2) if k1 <= k2 else ("gcd", k2, k1)
         g = memo.get(key)
         if g is None:
-            g = poly_gcd(d1, d2, self.shifts, self.candidates)
-            if len(memo) >= _GCD_MEMO_CAP:
-                memo.clear()
-            memo[key] = g
+            g = memo[key] = poly_gcd(d1, d2, self.shifts, self.candidates)
         return g
 
     # -- constructors ---------------------------------------------------
@@ -226,26 +224,16 @@ class ScalarField:
         """1/(x_i - x_j) for distinct 1-based sites."""
         if i == j:
             raise ValueError("omega needs distinct sites")
-        key = (i, j)
-        rf = self._omega_cache.get(key)
-        if rf is None:
-            den = {1 << self.shifts[i - 1]: 1, 1 << self.shifts[j - 1]: -1}
-            rf = self.frac({0: 1}, den)
-            self._omega_cache[key] = rf
-        return rf
+        den = {1 << self.shifts[i - 1]: 1, 1 << self.shifts[j - 1]: -1}
+        return self.frac({0: 1}, den)
 
     def theta(self, i: int, j: int):
         """x_i/(x_i - x_j) for distinct 1-based sites."""
         if i == j:
             raise ValueError("theta needs distinct sites")
-        key = (i, j)
-        rf = self._theta_cache.get(key)
-        if rf is None:
-            num = {1 << self.shifts[i - 1]: 1}
-            den = {1 << self.shifts[i - 1]: 1, 1 << self.shifts[j - 1]: -1}
-            rf = self.frac(num, den)
-            self._theta_cache[key] = rf
-        return rf
+        num = {1 << self.shifts[i - 1]: 1}
+        den = {1 << self.shifts[i - 1]: 1, 1 << self.shifts[j - 1]: -1}
+        return self.frac(num, den)
 
     def transposition(self, i: int, j: int):
         """0-based sigma tuple swapping 1-based sites i and j."""

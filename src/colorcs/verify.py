@@ -163,11 +163,7 @@ class Bracket(Expr):
     def top(self, min_deriv: int) -> OperatorSum:
         """Terms of the bracket at derivative degree >= min_deriv, computed
         with truncated products (sound: Leibniz only lowers the degree)."""
-        a, b = self.a.operator(), self.b.operator()
-        ab = a.mul(b, min_deriv=min_deriv)
-        ba = b.mul(a, min_deriv=min_deriv)
-        out = ab + ba if self._sign() > 0 else ab - ba
-        return out.filtered(min_deriv)
+        return self.a.operator().bracket(self.b.operator(), min_deriv)
 
     def apply(self, state):
         left = self.a.apply(self.b.apply(state))
@@ -384,15 +380,35 @@ def _serre_rhs(ws, tensor, a, b, c, d, e, f) -> Expr:
     return Scale(Add(*items), ws.ctx.field.lam)
 
 
-def _nested_serre_lhs(base0, base1):
-    """[A0^{ab}, [A1^{cd}, A1^{ef}}} - [A1^{ab}, [A0^{cd}, A1^{ef}}}."""
+def _serre_case(case_id, base0, base1, tensor=None):
+    """[A0^{ab}, [A1^{cd}, A1^{ef}}} - [A1^{ab}, [A0^{cd}, A1^{ef}}} over
+    the sampled sextuples, where base0(ws, a, b) and base1(ws, a, b) give
+    A0^{ab} and A1^{ab}; the right side is zero, or the six-delta
+    combination of the workspace's defect tensor named `tensor`."""
 
-    def make(ab, cd, ef):
-        first = Bracket(base0(*ab), Bracket(base1(*cd), base1(*ef)))
-        second = Bracket(base1(*ab), Bracket(base0(*cd), base1(*ef)))
-        return Add(first, Scale(second, -1))
+    def gen(ws, cfg):
+        for a, b, c, d, e, f in _sextuples(ws, cfg, case_id):
+            first = Bracket(base0(ws, a, b),
+                            Bracket(base1(ws, c, d), base1(ws, e, f)))
+            second = Bracket(base1(ws, a, b),
+                             Bracket(base0(ws, c, d), base1(ws, e, f)))
+            lhs = Add(first, Scale(second, -1))
+            rhs = _zero(ws) if tensor is None else \
+                _serre_rhs(ws, getattr(ws, tensor), a, b, c, d, e, f)
+            yield Instance(f"abcdef={a}{b}{c}{d}{e}{f}", lhs, rhs)
 
-    return make
+    return gen
+
+
+def _level(gen_name, level):
+    """A Serre base: the leaf of generator `gen_name` at a fixed level."""
+    return lambda ws, a, b: Leaf(getattr(ws, gen_name)(level, a, b))
+
+
+def _shifted(gen_name):
+    """A Serre base: level 1 of `gen_name` plus the Yangian level 1."""
+    return lambda ws, a, b: Add(Leaf(getattr(ws, gen_name)(1, a, b)),
+                                Leaf(ws.yangian_T(1, a, b)))
 
 
 # -- the case catalog ---------------------------------------------------------
@@ -543,31 +559,6 @@ def _case_level_two_explicit(ws, cfg):
                        Leaf(ws.t2_explicit(a, b)))
 
 
-def _case_yangian_serre(ws, cfg):
-    make = _nested_serre_lhs(
-        lambda a, b: Leaf(ws.yangian_T(0, a, b)),
-        lambda a, b: Leaf(ws.yangian_T(1, a, b)),
-    )
-    for a, b, c, d, e, f in _sextuples(ws, cfg, "eq3.5"):
-        lhs = make((a, b), (c, d), (e, f))
-        rhs = _serre_rhs(ws, ws.tensor_O, a, b, c, d, e, f)
-        yield Instance(f"abcdef={a}{b}{c}{d}{e}{f}", lhs, rhs)
-
-
-def _plain_serre_case(gen_name, case_id):
-    def gen(ws, cfg):
-        G = getattr(ws, gen_name)
-        make = _nested_serre_lhs(
-            lambda a, b: Leaf(G(0, a, b)),
-            lambda a, b: Leaf(G(1, a, b)),
-        )
-        for a, b, c, d, e, f in _sextuples(ws, cfg, case_id):
-            lhs = make((a, b), (c, d), (e, f))
-            yield Instance(f"abcdef={a}{b}{c}{d}{e}{f}", lhs, _zero(ws))
-
-    return gen
-
-
 def _tower_sum_case(gen_name):
     def gen(ws, cfg):
         G = getattr(ws, gen_name)
@@ -598,35 +589,6 @@ def _unification_case(with_plain_bracket: bool):
             yield Instance(f"abcd={a}{b}{c}{d}", Add(*parts), rhs)
 
     return gen
-
-
-def _mixed_serre_case(gen_name, tensor_name, case_id):
-    def gen(ws, cfg):
-        G = getattr(ws, gen_name)
-        tensor = getattr(ws, tensor_name)
-
-        def shifted(a, b):
-            return Add(Leaf(G(1, a, b)), Leaf(ws.yangian_T(1, a, b)))
-
-        make = _nested_serre_lhs(
-            lambda a, b: Leaf(ws.loop_J(0, a, b)), shifted)
-        for a, b, c, d, e, f in _sextuples(ws, cfg, case_id):
-            lhs = make((a, b), (c, d), (e, f))
-            rhs = _serre_rhs(ws, tensor, a, b, c, d, e, f)
-            yield Instance(f"abcdef={a}{b}{c}{d}{e}{f}", lhs, rhs)
-
-    return gen
-
-
-def _case_two_parameter_serre(ws, cfg):
-    make = _nested_serre_lhs(
-        lambda a, b: Leaf(ws.loop_J(0, a, b)),
-        lambda a, b: Leaf(ws.q1_family(a, b)),
-    )
-    for a, b, c, d, e, f in _sextuples(ws, cfg, "eq3.27"):
-        lhs = make((a, b), (c, d), (e, f))
-        rhs = _serre_rhs(ws, ws.tensor_P, a, b, c, d, e, f)
-        yield Instance(f"abcdef={a}{b}{c}{d}{e}{f}", lhs, rhs)
 
 
 def _recursion_instances(ws, cfg, prev, closed, leading, tag):
@@ -789,7 +751,8 @@ for _spec in [
              _case_level_two_explicit),
     CaseSpec("eq3.5", "yangian",
              "nested level-1 bracket measured by the defect tensor", 2,
-             _case_yangian_serre),
+             _serre_case("eq3.5", _level("yangian_T", 0),
+                         _level("yangian_T", 1), "tensor_O")),
     CaseSpec("eq3.10", "loop",
              "rational tower: level 0 with level 1", 2,
              _tower_bracket_case("loop_J", 0, 1, 1)),
@@ -798,7 +761,7 @@ for _spec in [
              _tower_bracket_case("loop_J", 1, 1, 2)),
     CaseSpec("eq3.12", "loop",
              "rational tower satisfies the Serre property", 2,
-             _plain_serre_case("loop_J", "eq3.12")),
+             _serre_case("eq3.12", _level("loop_J", 0), _level("loop_J", 1))),
     CaseSpec("eq3.15", "loop",
              "rational tower brackets add levels", 2,
              _tower_sum_case("loop_J")),
@@ -807,7 +770,7 @@ for _spec in [
              _tower_sum_case("loop_K")),
     CaseSpec("eq3.18", "loop",
              "coordinate tower satisfies the Serre property", 2,
-             _plain_serre_case("loop_K", "eq3.18")),
+             _serre_case("eq3.18", _level("loop_K", 0), _level("loop_K", 1))),
     CaseSpec("eq3.21", "loop",
              "mixed towers reproduce the trigonometric level 1", 2,
              _unification_case(True)),
@@ -816,13 +779,17 @@ for _spec in [
              _unification_case(False)),
     CaseSpec("eq3.22", "loop",
              "shifted rational Serre defect matches its tensor", 2,
-             _mixed_serre_case("loop_J", "tensor_M", "eq3.22")),
+             _serre_case("eq3.22", _level("loop_J", 0), _shifted("loop_J"),
+                         "tensor_M")),
     CaseSpec("eq3.23", "loop",
              "shifted coordinate Serre defect matches its tensor", 2,
-             _mixed_serre_case("loop_K", "tensor_N", "eq3.23")),
+             _serre_case("eq3.23", _level("loop_J", 0), _shifted("loop_K"),
+                         "tensor_N")),
     CaseSpec("eq3.27", "loop",
              "two-parameter family Serre defect matches its tensor", 2,
-             _case_two_parameter_serre),
+             _serre_case("eq3.27", _level("loop_J", 0),
+                         lambda ws, a, b: Leaf(ws.q1_family(a, b)),
+                         "tensor_P")),
     CaseSpec("eq3.31", "winf",
              "scalar spin recursion equals the closed form", 2,
              _case_spin_recursion_scalar),
@@ -879,9 +846,7 @@ def _leading_residual(inst, lam):
     if not isinstance(inst.lhs, Bracket):
         raise TypeError("leading-order instance needs a bracket on the left")
     top = inst.lhs.top(inst.dexp) - inst.rhs.operator().filtered(inst.dexp)
-    if lam is not None:
-        top = top.substitute_lambda(lam)
-    return top.filtered(inst.dexp)
+    return top if lam is None else top.substitute_lambda(lam)
 
 
 def _probe_degree(ws, lhs_op, rhs_op):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from colorcs import cli
+from colorcs.models import ModelWorkspace
 from colorcs.verify import DEFAULT_SEED, case_ids
 
 
@@ -89,6 +90,20 @@ def test_print_operator(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "e(1," in out and "D1" in out
+
+
+def test_print_operator_builds_inside_the_arithmetic_memo(monkeypatch, capsys):
+    memo_open = []
+    build = ModelWorkspace.build
+
+    def spy(self, name):
+        memo_open.append(self.ctx.field._memo is not None)
+        return build(self, name)
+
+    monkeypatch.setattr(ModelWorkspace, "build", spy)
+    assert cli.main(["--print-operator", "T[1,1,2]",
+                     "--n", "1", "--m", "1", "--N", "2"]) == 0
+    assert memo_open == [True]
 
 
 def test_print_operator_unknown_name():

@@ -281,3 +281,31 @@ def test_arithmetic_memo_lives_only_inside_its_block():
         with F.arithmetic_memo():
             a / F.zero
     assert F._memo is None
+
+
+def test_arithmetic_memo_shares_denominator_gcds(monkeypatch):
+    import colorcs.scalar as scalar
+
+    F = ScalarField(3)
+    a, b = F.omega(1, 2), F.theta(1, 3)
+    d1, d2 = a.den, b.den
+    assert d1 != d2 and not a.is_poly and not b.is_poly
+    calls = []
+    poly_gcd = scalar.poly_gcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return poly_gcd(*args)
+
+    monkeypatch.setattr(scalar, "poly_gcd", counting_gcd)
+    F._gcd_dens(d1, d2)
+    F._gcd_dens(d1, d2)
+    assert len(calls) == 2 and F._memo is None
+    with F.arithmetic_memo():
+        a + b
+        assert sum(1 for k in F._memo if k[0] == "gcd") == 1
+        g = F._gcd_dens(d1, d2)
+        assert F._gcd_dens(dict(d1), dict(d2)) is g
+        assert F._gcd_dens(d2, d1) is g
+        assert len(calls) == 3
+    assert F._memo is None
