@@ -6,6 +6,14 @@ dict.  Functions never mutate their inputs and never store zero coefficients.
 
 This module and the compiled twin ``_poly_cy`` export the same names with the
 same semantics; ``_kernel`` picks one at import time.  Keep the two in sync.
+
+``poly_divexact`` divides by a binomial that is exactly x_u - x_v, the
+divisor the gcd's candidate trial divisions use, in one linear pass instead
+of the general long division, whose leading-term search makes it quadratic
+in the dividend.  Every other divisor, and a dividend whose x_u and x_v
+exponents could carry out of the x_v field, takes the general loop.  The
+result is the same either way, so ``_poly_cy``, which has only the general
+loop (Cython is needed to regenerate it), stays a valid twin.
 """
 
 from __future__ import annotations
@@ -147,6 +155,56 @@ def poly_divexact(a, b, shifts):
                 k -= kb
             out[k] = q
         return out
+    if len(b) == 2:
+        (ku, cu), (kv, cv) = b.items()
+        if cu == -1:
+            ku, cu, kv, cv = kv, cv, ku, cu
+        sh_u = ku.bit_length() - 1
+        sh_v = kv.bit_length() - 1
+        if cu == 1 and cv == -1 and sh_u in shifts and sh_v in shifts \
+                and ku == 1 << sh_u and kv == 1 << sh_v:
+            return _divexact_binomial(a, b, sh_u, sh_v, shifts)
+    return _divexact_general(a, b, shifts)
+
+
+def _divexact_binomial(a, b, sh_u, sh_v, shifts):
+    """a / (x_u - x_v), where b is that binomial and x_u, x_v sit at bit
+    offsets sh_u, sh_v.  Linear in a: a is a multiple exactly when
+    a(x_u := x_v) = 0, and then each term c*m*x_u^k contributes
+    c*m*(x_u^(k-1) + x_u^(k-2)*x_v + ... + x_v^(k-1))."""
+    ku = 1 << sh_u
+    step = (1 << sh_v) - ku
+    at_v = {}
+    for k, c in a.items():
+        eu = (k >> sh_u) & _MASK
+        if eu:
+            if eu + ((k >> sh_v) & _MASK) > MAX_EXP:
+                # the x_v field would carry into its neighbour
+                return _divexact_general(a, b, shifts)
+            k += eu * step
+        s = at_v.get(k, 0) + c
+        if s:
+            at_v[k] = s
+        else:
+            del at_v[k]
+    if at_v:
+        return None
+    quo = {}
+    for k, c in a.items():
+        eu = (k >> sh_u) & _MASK
+        k -= ku
+        for _ in range(eu):
+            s = quo.get(k, 0) + c
+            if s:
+                quo[k] = s
+            else:
+                del quo[k]
+            k += step
+    return quo
+
+
+def _divexact_general(a, b, shifts):
+    """Graded-lex long division; a and b nonzero."""
     kb, cb = _lead(b, shifts)
     rem = dict(a)
     quo = {}

@@ -3,7 +3,9 @@
 The driver peels off the cheap structure first: integer content, monomial
 content, then trial division by caller-supplied candidate factors (the
 coefficient field passes the position binomials x_i - x_j, which account for
-essentially every denominator the generator workloads produce).  Whatever is
+essentially every denominator the generator workloads produce; the smaller
+operand is tried first, and the pure kernel divides by x_i - x_j in one
+linear pass).  Whatever is
 left goes through a heuristic evaluation gcd: substitute a large integer for
 one variable, recurse, rebuild the candidate by base-xi digit expansion, and
 verify by exact division.  A verified candidate is a true gcd; on repeated
@@ -167,6 +169,9 @@ def poly_gcd(a, b, shifts, candidates=()):
         acc |= (ea if ea < eb else eb) << sh
     fa = _strip_monomial(fa, ma)
     fb = _strip_monomial(fb, mb)
+    if len(fa) > len(fb):
+        # a failed trial division then costs a pass over the smaller part
+        fa, fb = fb, fa
     result = {acc: c}
     if not _is_const(fa) and not _is_const(fb):
         for cand in candidates:

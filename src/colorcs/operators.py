@@ -24,7 +24,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import product
 
 from .color import (
     GradingContext,
@@ -35,7 +34,12 @@ from .color import (
     permutation_terms,
     word_from_units,
 )
-from .errors import CapExceededError, ContextMismatchError, MixedParityError
+from .errors import (
+    CapExceededError,
+    ContextMismatchError,
+    MixedParityError,
+    PoleError,
+)
 from .scalar import RationalFunction, ScalarField
 
 _TERM_BUDGET: ContextVar = ContextVar("colorcs_term_budget", default=None)
@@ -139,6 +143,25 @@ class AlgebraContext:
         for c, units in permutation_terms(self.grading, i, j):
             acc = acc + self.from_units(units, coeff=c)
         return acc
+
+
+def _leibniz(g, p, nz, cap, j=0):
+    """Yield (t, d^t g) for the multi-indices t over the slots nz[j:] (not
+    empty) with t <= p and |t| <= cap, in ``itertools.product`` order,
+    skipping zero derivatives.  Each derivative extends the one before it
+    in the walk, so every distinct t costs one ``diff``."""
+    slot = nz[j]
+    last = j + 1 == len(nz)
+    for k in range(min(p[slot], cap) + 1):
+        if k:
+            g = g.diff(slot)
+            if not g:
+                return
+        if last:
+            yield (k,), g
+        else:
+            for t, d in _leibniz(g, p, nz, cap - k, j + 1):
+                yield (k,) + t, d
 
 
 def _diff_multi(rf, deriv):
@@ -254,6 +277,8 @@ class OperatorSum:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                raise PoleError("division by zero")
             return self.scale(Fraction(1, 1) / Fraction(other))
         if isinstance(other, RationalFunction):
             return self.scale(other.field.one / other)
@@ -295,33 +320,29 @@ class OperatorSum:
             nz = [i for i in range(ctx.N) if p[i]]
             for (w2, q), g in matches:
                 sign, w = full_word_mul(grading, w1, w2)
-                if not p_total:
-                    r = q
-                    if min_deriv is not None and sum(r) < min_deriv:
+                # a Leibniz term moves |t| derivatives onto g and keeps
+                # degree p_total + sum(q) - |t|, so the cut bounds |t|
+                cap = p_total
+                if min_deriv is not None:
+                    cap = min(cap, p_total + sum(q) - min_deriv)
+                    if cap < 0:
                         continue
+                if not p_total:
                     val = f * g
                     if sign < 0:
                         val = -val
-                    _acc_add(acc, (w, r), val, budget)
+                    _acc_add(acc, (w, q), val, budget)
                     continue
-                for ts in product(*(range(p[i] + 1) for i in nz)):
-                    t = [0] * ctx.N
+                for ts, dg in _leibniz(g, p, nz, cap):
+                    r = [a + b for a, b in zip(p, q)]
+                    comb = 1 if sign > 0 else -1
                     for i, ti in zip(nz, ts):
-                        t[i] = ti
-                    dg = _diff_multi(g, t)
-                    if not dg:
-                        continue
-                    r = tuple(p[i] - t[i] + q[i] for i in range(ctx.N))
-                    if min_deriv is not None and sum(r) < min_deriv:
-                        continue
-                    comb = 1
-                    for i in nz:
-                        comb *= math.comb(p[i], t[i])
+                        r[i] -= ti
+                        comb *= math.comb(p[i], ti)
                     val = f * dg
-                    c = comb if sign > 0 else -comb
-                    if c != 1:
-                        val = val._scale_int(c)
-                    _acc_add(acc, (w, r), val, budget)
+                    if comb != 1:
+                        val = val._scale_int(comb)
+                    _acc_add(acc, (w, tuple(r)), val, budget)
         return OperatorSum(ctx, acc)
 
     def bracket(self, other, min_deriv=None):

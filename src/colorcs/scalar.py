@@ -17,17 +17,20 @@ The operators are built from few distinct coefficients, so the same sums,
 products, derivatives and denominator gcds recur many times within one
 verification.  ``ScalarField.arithmetic_memo()`` is the package's one
 coefficient cache, and this module alone decides what it shares and for
-how long.  Inside it the field keeps every result of ``+``, ``*`` and
-``diff`` under (operation, operand, other operand or slot), and every gcd
-of a denominator pair under ("gcd", the pair's order-free fingerprints),
-so each distinct one is computed once; outside it nothing is stored.  The
-arithmetic keys are the operands themselves, compared by the structural
-``__eq__``, which includes the field, so only an equal computation can
-hit.  A hit hands out the stored object, which is sound because a
-RationalFunction and its ``num``/``den`` dicts are never mutated after
-construction: every operation builds new ones.  The scope is bounded by
-its caller (one verdict in ``verify``, one build in ``cli``) and drops the
-memo on exit.
+how long.  Inside it the field keeps every result of ``diff`` under
+(operation, operand, slot), every result of ``+`` and ``*`` under
+(operation, the unordered operand pair), and every gcd of a denominator
+pair under ("gcd", the pair's order-free fingerprints), so each distinct
+one is computed once; outside it nothing is stored.  The arithmetic keys
+are the operands themselves, compared by the structural ``__eq__``, which
+includes the field, so only an equal computation can hit.  An unordered
+pair is stored in the order of the operands' cached hashes, so ``b * a``
+finds what ``a * b`` left; when the two hashes tie, the two orders get
+two entries, which costs a missed share and nothing else.  A hit hands
+out the stored object, which is sound because a RationalFunction and its
+``num``/``den`` dicts are never mutated after construction: every
+operation builds new ones.  The scope is bounded by its caller (one
+verdict in ``verify``, one build in ``cli``) and drops the memo on exit.
 """
 
 from __future__ import annotations
@@ -57,22 +60,37 @@ def _fingerprint(p):
     return tuple(sorted(p.items()))
 
 
-def _memoized(compute):
+def _memoized(symmetric):
     """Share a RationalFunction method's results inside the field's
-    arithmetic memo, keyed by (method name, operand, argument)."""
-    tag = compute.__name__
+    arithmetic memo, keyed by (method name, operand, argument); a
+    symmetric method keys on the unordered pair, put in hash order."""
 
-    def cached(self, arg):
-        memo = self.field._memo
-        if memo is None:
-            return compute(self, arg)
-        key = (tag, self, arg)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = compute(self, arg)
-        return out
+    def wrap(compute):
+        tag = compute.__name__
 
-    return cached
+        def cached(self, arg):
+            memo = self.field._memo
+            if memo is None:
+                return compute(self, arg)
+            key = (tag, self, arg)
+            if symmetric:
+                # read the cached hashes directly; hash() fills them once
+                hs = self._h
+                if hs is None:
+                    hs = hash(self)
+                ha = arg._h
+                if ha is None:
+                    ha = hash(arg)
+                if ha < hs:
+                    key = (tag, arg, self)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = compute(self, arg)
+            return out
+
+        return cached
+
+    return wrap
 
 
 def _poly_pow(p, k, shifts):
@@ -314,7 +332,7 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    @_memoized
+    @_memoized(symmetric=True)
     def _add(self, o):
         f = self.field
         n1, d1 = self.num, self.den
@@ -390,7 +408,7 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    @_memoized
+    @_memoized(symmetric=True)
     def _mul(self, o):
         f = self.field
         sh = f.shifts
@@ -455,7 +473,7 @@ class RationalFunction:
             return self.field.zero
         return self._diff(slot)
 
-    @_memoized
+    @_memoized(symmetric=False)
     def _diff(self, slot):
         f = self.field
         sh = f.shifts
@@ -483,6 +501,8 @@ class RationalFunction:
         r = value if isinstance(value, RationalFunction) else f.const(value)
         if r.field is not f:
             raise ContextMismatchError("substitution value from another field")
+        if not self.num:
+            return self
         sh = f.shifts[slot]
 
         def horner(p):

@@ -315,3 +315,114 @@ def test_gcd_divides_both_random():
         assert poly_divexact(gb, got, SHIFTS) is not None
         _, gp = poly_primitive(g, SHIFTS)
         assert poly_divexact(got, gp, SHIFTS) is not None
+
+
+# -- division by a position binomial x_u - x_v ---------------------------------
+
+# the coefficient field's layouts for two and three sites: x_1..x_N, lam, x, y
+BINOMIAL_LAYOUTS = (5, 6)
+
+
+def _binomials(nvars):
+    """(u, v, tuple-keyed x_u - x_v) for every ordered pair u != v."""
+    out = []
+    for u in range(nvars):
+        for v in range(nvars):
+            if u != v:
+                eu = tuple(int(i == u) for i in range(nvars))
+                ev = tuple(int(i == v) for i in range(nvars))
+                out.append((u, v, {eu: 1, ev: -1}))
+    return out
+
+
+def _near_cap(rng, nvars, u, v):
+    """Tuple-keyed poly whose x_u and x_v exponents sum to MAX_EXP - 2 ..
+    MAX_EXP + 1 in each term, each exponent below MAX_EXP."""
+    top = monomials.MAX_EXP
+    out = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [rng.randint(0, 2) for _ in range(nvars)]
+        exps[u] = rng.randint(top // 2, top - 1)
+        exps[v] = max(0, min(top - 1, top - exps[u] + rng.randint(-2, 1)))
+        out[tuple(exps)] = rng.choice((-3, -1, 1, 2, 5))
+    return out
+
+
+def _carries(a, u, v):
+    return any(k[u] + k[v] > monomials.MAX_EXP for k in a)
+
+
+def test_divexact_binomial_matches_general_loop(kern):
+    from colorcs._poly_py import _divexact_general
+
+    rng = random.Random(23)
+    for nvars in BINOMIAL_LAYOUTS:
+        shifts = monomials.make_shifts(nvars)
+
+        def pk(a):
+            return {monomials.pack(k, shifts): c for k, c in a.items()}
+
+        for u, v, bt in _binomials(nvars):
+            b = pk(bt)
+            quotients = [rand_poly(rng, nvars=nvars) for _ in range(6)]
+            quotients += [_near_cap(rng, nvars, u, v) for _ in range(6)]
+            for q in quotients:
+                if not q:
+                    continue
+                a = r_mul(q, bt)
+                # no monomial is a multiple of b, so a plus one is not either
+                r = {tuple(rng.randint(0, 1) for _ in range(nvars)): 1}
+                off = r_add(a, r)
+                assert kern.poly_divexact(pk(a), b, shifts) == pk(q)
+                assert kern.poly_divexact(pk(off), b, shifts) is None
+                for x in (a, off, q):
+                    assert kern.poly_divexact(pk(x), b, shifts) == \
+                        _divexact_general(pk(x), b, shifts)
+
+
+def test_divexact_binomial_branch_skips_the_general_loop(monkeypatch):
+    from colorcs import _poly_py
+
+    calls = []
+    general = _poly_py._divexact_general
+
+    def spy(a, b, shifts):
+        calls.append(b)
+        return general(a, b, shifts)
+
+    monkeypatch.setattr(_poly_py, "_divexact_general", spy)
+    rng = random.Random(29)
+    for nvars in BINOMIAL_LAYOUTS:
+        shifts = monomials.make_shifts(nvars)
+        for u, v, bt in _binomials(nvars):
+            b = {monomials.pack(k, shifts): c for k, c in bt.items()}
+            for _ in range(4):
+                a = r_mul(_near_cap(rng, nvars, u, v), bt)
+                del calls[:]
+                _poly_py.poly_divexact(
+                    {monomials.pack(k, shifts): c for k, c in a.items()},
+                    b, shifts)
+                # only an exponent that would carry sends it to the loop
+                assert calls == ([b] if _carries(a, u, v) else [])
+
+    # binomials that are not x_u - x_v always take the loop
+    x1, x2 = (1, 0, 0, 0), (0, 1, 0, 0)
+    others = (
+        {x1: 2, x2: -1},              # 2 x1 - x2
+        {x1: 1, x2: 1},               # x1 + x2
+        {(2, 0, 0, 0): 1, x2: -1},    # x1^2 - x2
+        {x1: 1, (0, 0, 0, 0): -1},    # x1 - 1
+        {(1, 1, 0, 0): 1, x2: -1},    # x1 x2 - x2
+    )
+    for bt in others:
+        b = to_packed(bt)
+        for _ in range(10):
+            q = rand_poly(rng)
+            if not q:
+                continue
+            a = to_packed(r_mul(q, bt))
+            del calls[:]
+            assert _poly_py.poly_divexact(a, b, SHIFTS) == to_packed(q)
+            assert calls == [b]
+            off = _poly_py.poly_add(a, {0: 1})
+            assert _poly_py.poly_divexact(off, b, SHIFTS) is None

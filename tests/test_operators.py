@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from colorcs.errors import CapExceededError, MixedParityError
+from colorcs.errors import CapExceededError, MixedParityError, PoleError
 from colorcs.operators import AlgebraContext, term_budget
+from colorcs.scalar import RationalFunction
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,14 @@ def test_substitute_lambda(A11):
     assert got == expect
 
 
+def test_division_by_zero_is_a_pole(A11):
+    op = A11.deriv(1) + A11.coord(2)
+    for zero in (0, Fraction(0), A11.field.zero):
+        with pytest.raises(PoleError):
+            op / zero
+    assert op / 2 == op.scale(Fraction(1, 2))
+
+
 def test_term_budget_caps_products(A11):
     d1 = A11.deriv(1)
     x1 = A11.coord(1)
@@ -152,13 +161,61 @@ def test_term_budget_caps_products(A11):
             big.mul(big)
 
 
-def test_truncated_mul_matches_filtered_full(A11):
+def rand_deriv_operator(ctx, rng):
+    """A few terms with derivative order 1 or 2 on each of two sites."""
+    f = ctx.field
+    coeffs = (f.omega(1, 2), f.theta(2, 1), f.x(1) * f.x(2) * f.lam,
+              f.omega(1, 2) * f.omega(1, 2) + f.x(2))
+    op = ctx.zero()
+    for _ in range(rng.randint(1, 3)):
+        unit = (rng.randint(1, 2), rng.choice(ctx.grading.colors),
+                rng.choice(ctx.grading.colors))
+        deriv = (rng.randint(1, 2), rng.randint(1, 2))
+        op = op + ctx.from_units([unit], coeff=rng.choice(coeffs), deriv=deriv)
+    return op
+
+
+def test_truncated_mul_matches_filtered_full(A11, A21):
     f = A11.field.omega(1, 2)
     a = A11.deriv(1, 2).scale(f) + A11.coord(2).mul(A11.deriv(2))
     b = A11.deriv(2).scale(A11.field.theta(2, 1)) + A11.scalar(f)
     full = a.mul(b)
     for cut in (0, 1, 2, 3):
         assert a.mul(b, min_deriv=cut) == full.filtered(cut)
+    rng = random.Random(71)
+    for ctx in (A11, A21):
+        for _ in range(6):
+            a = rand_deriv_operator(ctx, rng)
+            b = rand_deriv_operator(ctx, rng)
+            full = a.mul(b)
+            for cut in range(full.max_deriv_degree() + 2):
+                assert a.mul(b, min_deriv=cut) == full.filtered(cut), cut
+
+
+def test_leibniz_product_takes_each_derivative_once(A11, monkeypatch):
+    # D1^2 D2^2 * g: the nonzero t <= (2, 2) are 8 distinct derivatives of
+    # g; walking each t again from g would take 1+2+1+2+3+2+3+4 = 18
+    f = A11.field
+    g = f.omega(1, 2) * f.x(1) * f.x(2)
+    units = [(1, 1, 1), (2, 1, 1)]
+    a = A11.from_units(units, deriv=(2, 2))
+    b = A11.from_units(units, coeff=g)
+    assert len(a) == len(b) == 1
+    calls = []
+    diff = RationalFunction.diff
+
+    def counting_diff(self, slot):
+        calls.append(slot)
+        return diff(self, slot)
+
+    monkeypatch.setattr(RationalFunction, "diff", counting_diff)
+    prod = a.mul(b)
+    assert len(calls) == 8
+    assert len(prod) == 9
+    del calls[:]
+    a.mul(b, min_deriv=3)
+    # only |t| <= 1 keeps degree >= 3
+    assert len(calls) == 2
 
 
 def rand_operator(ctx, rng, depth=0):

@@ -140,6 +140,14 @@ def test_substitute(F3):
         F3.omega(1, 2).substitute(0, F3.x(2))
 
 
+def test_substitute_into_zero(F3):
+    for value in (2, Fraction(1, 2), F3.x(2), F3.omega(1, 2)):
+        assert F3.zero.substitute(0, value) == F3.zero
+        assert F3.zero.substitute_lambda(value) == F3.zero
+    with pytest.raises(ContextMismatchError):
+        F3.zero.substitute(0, ScalarField(3).x(1))
+
+
 def test_context_mismatch():
     a = ScalarField(2)
     b = ScalarField(2)
@@ -249,6 +257,26 @@ def test_arithmetic_memo_keys_on_operation_and_slot():
         assert a + b == total != product
         assert a.diff(0) == d0
         assert a.diff(1) == d1
+
+
+def test_arithmetic_memo_shares_swapped_operands():
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    fs = [a, b, F.omega(1, 2), F.theta(2, 3), F.x(1) * F.lam + 1, F.aux_x]
+    pairs = [(f, g) for i, f in enumerate(fs) for g in fs[i + 1:]]
+    assert len({hash(_copy(f)) for f in fs}) == len(fs)
+    plain = [(f * g, f + g) for f, g in pairs]
+    with F.arithmetic_memo():
+        for (f, g), (prod, total) in zip(pairs, plain):
+            # fresh copies have not computed their hashes yet
+            product, sum_ = _copy(f) * _copy(g), _copy(f) + _copy(g)
+            assert (product, sum_) == (prod, total)
+            assert _copy(g) * _copy(f) is product
+            assert _copy(g) + _copy(f) is sum_
+            assert g * f is product and f * g is product
+            assert g + f is sum_ and f + g is sum_
+        for tag in ("_add", "_mul"):
+            assert sum(1 for k in F._memo if k[0] == tag) == len(pairs)
 
 
 def test_arithmetic_memo_never_crosses_fields():
