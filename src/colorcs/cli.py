@@ -176,7 +176,8 @@ def _print_operator(args, parser):
         with ws.ctx.field.arithmetic_memo():
             op = ws.build(args.print_operator)
     except UnknownNameError as exc:
-        parser.error(str(exc))
+        # a KeyError's str() quotes its message
+        parser.error(exc.args[0])
     except (ValueError, CapExceededError) as exc:
         parser.error(f"cannot build {args.print_operator!r}: {exc}")
     print(op.to_str())

@@ -54,9 +54,6 @@ class GradingContext:
         """All color basis states, lexicographic."""
         return product(self.colors, repeat=self.N)
 
-    def state_parity(self, state) -> int:
-        return sum(self._par[c] for c in state) & 1
-
     def __repr__(self):
         return f"GradingContext(n={self.n}, m={self.m}, N={self.N})"
 

@@ -1,16 +1,18 @@
 """Multivariate gcd over Z for the sparse packed representation.
 
-The driver peels off the cheap structure first: integer content, monomial
-content, then trial division by caller-supplied candidate factors (the
-coefficient field passes the position binomials x_i - x_j, which account for
-essentially every denominator the generator workloads produce; the smaller
-operand is tried first, and the pure kernel divides by x_i - x_j in one
-linear pass).  Whatever is
-left goes through a heuristic evaluation gcd: substitute a large integer for
-one variable, recurse, rebuild the candidate by base-xi digit expansion, and
-verify by exact division.  A verified candidate is a true gcd; on repeated
-failure the evaluation point grows and after ``_HEU_TRIES`` rounds we raise
-rather than return something unverified.
+``poly_gcd`` returns the gcd together with its two cofactors, built from
+the quotients it computes anyway, so a caller never divides by the gcd
+again.  It peels off the cheap structure first: integer content,
+monomial content, then trial division by caller-supplied candidate
+factors (the coefficient field passes the position binomials x_i - x_j,
+which account for essentially every denominator the generator workloads
+produce; the smaller operand is tried first, and the pure kernel divides
+by x_i - x_j in one linear pass).  Whatever is left goes through a
+heuristic evaluation gcd: substitute a large integer for one variable,
+recurse, rebuild the candidate by base-xi digit expansion, and verify by
+exact division, whose quotients are the cofactors.  A verified candidate
+is a true gcd; on repeated failure the evaluation point grows and after
+``_HEU_TRIES`` rounds we raise rather than return something unverified.
 """
 
 from __future__ import annotations
@@ -125,38 +127,51 @@ def _interpolate(h_eval, xi, slot, shifts):
 
 
 def _heugcd(f, g, shifts):
-    """Heuristic gcd of two primitive nonconstant polys; verified exact."""
+    """(h, f/h, g/h) for two primitive nonconstant polys; h verified exact."""
     slot = _first_slot(f, g, shifts)
     if slot < 0:
-        return dict(_ONE)
+        return dict(_ONE), f, g
     xi = 2 * min(_max_abs(f), _max_abs(g)) + 29
     for _ in range(_HEU_TRIES):
         ff = poly_eval_var(f, slot, xi, shifts)
         gg = poly_eval_var(g, slot, xi, shifts)
         if ff and gg:
-            h_eval = poly_gcd(ff, gg, shifts)
+            h_eval = poly_gcd(ff, gg, shifts)[0]
             h = _interpolate(h_eval, xi, slot, shifts)
             if h:
                 _, h = poly_primitive(h, shifts)
-                if poly_divexact(f, h, shifts) is not None and \
-                        poly_divexact(g, h, shifts) is not None:
-                    return h
+                qf = poly_divexact(f, h, shifts)
+                if qf is not None:
+                    qg = poly_divexact(g, h, shifts)
+                    if qg is not None:
+                        return h, qf, qg
         xi = xi * 73794 // 27011 + 3
     raise HeuristicGcdError("evaluation gcd failed to stabilize")
 
 
-def poly_gcd(a, b, shifts, candidates=()):
-    """Gcd over Z including integer content; leading coefficient positive.
+def _cofactor(q, s, m):
+    """s * x^m * q for an integer s and a packed monomial m."""
+    if s == 1 and not m:
+        return q
+    return {k + m: c * s for k, c in q.items()}
 
-    candidates: polynomials (primitive, positive lead) to try by exact
-    division before falling back to the heuristic gcd.
+
+def poly_gcd(a, b, shifts, candidates=()):
+    """(g, a/g, b/g): the gcd over Z, integer content included and leading
+    coefficient positive, with its cofactors.
+
+    When g = 1 the cofactors are a and b themselves; when both operands
+    are zero, all three are zero.  candidates: polynomials (primitive,
+    positive lead) to try by exact division before falling back to the
+    heuristic gcd.
     """
-    if not a:
-        _, p = poly_primitive(b, shifts)
-        return poly_scale(p, abs(poly_content(b)))
-    if not b:
-        _, p = poly_primitive(a, shifts)
-        return poly_scale(p, abs(poly_content(a)))
+    if not a or not b:
+        c, p = poly_primitive(a or b, shifts)
+        if not c:
+            return {}, {}, {}
+        unit = {0: 1 if c > 0 else -1}
+        g = poly_scale(p, abs(c))
+        return (g, unit, {}) if a else (g, {}, unit)
     ca, fa = poly_primitive(a, shifts)
     cb, fb = poly_primitive(b, shifts)
     c = math.gcd(ca, cb)
@@ -169,7 +184,8 @@ def poly_gcd(a, b, shifts, candidates=()):
         acc |= (ea if ea < eb else eb) << sh
     fa = _strip_monomial(fa, ma)
     fb = _strip_monomial(fb, mb)
-    if len(fa) > len(fb):
+    swapped = len(fa) > len(fb)
+    if swapped:
         # a failed trial division then costs a pass over the smaller part
         fa, fb = fb, fa
     result = {acc: c}
@@ -188,9 +204,14 @@ def poly_gcd(a, b, shifts, candidates=()):
                     break
     if not _is_const(fa) and not _is_const(fb):
         if fa == fb:
-            core = fa
+            core, fa, fb = fa, {0: 1}, {0: 1}
         else:
-            core = _heugcd(fa, fb, shifts)
+            core, fa, fb = _heugcd(fa, fb, shifts)
         if not _is_const(core):
             result = poly_mul(result, core, shifts)
-    return result
+    if result == _ONE:
+        return result, a, b
+    if swapped:
+        fa, fb = fb, fa
+    return (result, _cofactor(fa, ca // c, ma - acc),
+            _cofactor(fb, cb // c, mb - acc))

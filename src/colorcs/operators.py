@@ -319,7 +319,6 @@ class OperatorSum:
             p_total = sum(p)
             nz = [i for i in range(ctx.N) if p[i]]
             for (w2, q), g in matches:
-                sign, w = full_word_mul(grading, w1, w2)
                 # a Leibniz term moves |t| derivatives onto g and keeps
                 # degree p_total + sum(q) - |t|, so the cut bounds |t|
                 cap = p_total
@@ -327,6 +326,7 @@ class OperatorSum:
                     cap = min(cap, p_total + sum(q) - min_deriv)
                     if cap < 0:
                         continue
+                sign, w = full_word_mul(grading, w1, w2)
                 if not p_total:
                     val = f * g
                     if sign < 0:

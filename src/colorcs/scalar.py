@@ -20,17 +20,20 @@ coefficient cache, and this module alone decides what it shares and for
 how long.  Inside it the field keeps every result of ``diff`` under
 (operation, operand, slot), every result of ``+`` and ``*`` under
 (operation, the unordered operand pair), and every gcd of a denominator
-pair under ("gcd", the pair's order-free fingerprints), so each distinct
-one is computed once; outside it nothing is stored.  The arithmetic keys
-are the operands themselves, compared by the structural ``__eq__``, which
-includes the field, so only an equal computation can hit.  An unordered
-pair is stored in the order of the operands' cached hashes, so ``b * a``
-finds what ``a * b`` left; when the two hashes tie, the two orders get
-two entries, which costs a missed share and nothing else.  A hit hands
-out the stored object, which is sound because a RationalFunction and its
-``num``/``den`` dicts are never mutated after construction: every
-operation builds new ones.  The scope is bounded by its caller (one
-verdict in ``verify``, one build in ``cli``) and drops the memo on exit.
+pair under ("gcd", the pair's order-free fingerprints), as (g, d1/g,
+d2/g) in the key's order, so each distinct one is computed once; outside
+it nothing is stored.  The gcd comes with its cofactors
+(``gcdtools.poly_gcd``), so this module never divides by a gcd.  The
+arithmetic keys are the operands themselves, compared by the structural
+``__eq__``, which includes the field, so only an equal computation can
+hit.  An unordered pair is stored in the order of the operands' cached
+hashes, so ``b * a`` finds what ``a * b`` left; when the two hashes tie,
+the two orders get two entries, which costs a missed share and nothing
+else.  A hit hands out the stored object, which is sound because a
+RationalFunction and its ``num``/``den`` dicts are never mutated after
+construction: every operation builds new ones.  The scope is bounded by
+its caller (one verdict in ``verify``, one build in ``cli``) and drops
+the memo on exit.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from . import monomials
 from ._kernel import (
     poly_add,
     poly_diff,
-    poly_divexact,
     poly_eval,
     poly_lead,
     poly_mul,
@@ -151,23 +153,26 @@ class ScalarField:
     # -- polynomial-level helpers --------------------------------------
 
     def gcd(self, a, b):
+        """(g, a/g, b/g), see ``gcdtools.poly_gcd``."""
         return poly_gcd(a, b, self.shifts, self.candidates)
 
     def _gcd_dens(self, d1, d2):
-        """gcd of canonical (positive-lead) denominators, shared inside the
-        arithmetic memo."""
-        if d1 == d2:
-            return d1
+        """(g, d1/g, d2/g) for canonical (positive-lead) denominators,
+        shared inside the arithmetic memo."""
         memo = self._memo
         if memo is None:
             return poly_gcd(d1, d2, self.shifts, self.candidates)
         k1 = _fingerprint(d1)
         k2 = _fingerprint(d2)
-        key = ("gcd", k1, k2) if k1 <= k2 else ("gcd", k2, k1)
-        g = memo.get(key)
-        if g is None:
-            g = memo[key] = poly_gcd(d1, d2, self.shifts, self.candidates)
-        return g
+        flip = k2 < k1
+        key = ("gcd", k2, k1) if flip else ("gcd", k1, k2)
+        out = memo.get(key)
+        if out is None:
+            out = poly_gcd(d1, d2, self.shifts, self.candidates)
+            memo[key] = (out[0], out[2], out[1]) if flip else out
+        elif flip:
+            out = (out[0], out[2], out[1])
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -177,9 +182,6 @@ class ScalarField:
         if len(den) == 1 and den.get(0) == 1:
             den = self._one_p
         return RationalFunction(self, num, den)
-
-    def from_poly(self, p):
-        return self._make(dict(p), self._one_p)
 
     def const(self, c):
         if isinstance(c, RationalFunction):
@@ -199,10 +201,7 @@ class ScalarField:
             raise PoleError("zero denominator")
         if not num:
             return self.zero
-        g = self.gcd(num, den)
-        if g != self._one_p:
-            num = poly_divexact(num, g, self.shifts)
-            den = poly_divexact(den, g, self.shifts)
+        _, num, den = self.gcd(num, den)
         _, lc = poly_lead(den, self.shifts)
         if lc < 0:
             num = poly_neg(num)
@@ -278,11 +277,6 @@ class RationalFunction:
     def is_poly(self):
         return len(self.den) == 1 and self.den.get(0) == 1
 
-    def as_poly(self):
-        if not self.is_poly:
-            raise ValueError("not a polynomial")
-        return self.num
-
     def constant_value(self):
         """Fraction value if the function is constant, else None."""
         if self.num and (len(self.num) != 1 or 0 not in self.num):
@@ -344,28 +338,17 @@ class RationalFunction:
                 return f.zero
             if len(d1) == 1 and d1.get(0) == 1:
                 return f._make(t, d1)
-            g2 = f.gcd(t, d1)
-            if g2 == f._one_p:
-                return f._make(t, d1)
-            return f._make(
-                poly_divexact(t, g2, sh), poly_divexact(d1, g2, sh)
-            )
-        g = f._gcd_dens(d1, d2)
-        if g == f._one_p:
-            num = poly_add(poly_mul(n1, d2, sh), poly_mul(n2, d1, sh))
-            if not num:
-                return f.zero
-            return f._make(num, poly_mul(d1, d2, sh))
-        q1 = poly_divexact(d1, g, sh)
-        q2 = poly_divexact(d2, g, sh)
+            _, t, d = f.gcd(t, d1)
+            return f._make(t, d)
+        g, q1, q2 = f._gcd_dens(d1, d2)
         t = poly_add(poly_mul(n1, q2, sh), poly_mul(n2, q1, sh))
         if not t:
             return f.zero
-        g2 = f.gcd(t, g)
-        if g2 != f._one_p:
-            t = poly_divexact(t, g2, sh)
-            g = poly_divexact(g, g2, sh)
-        return f._make(t, poly_mul(poly_mul(g, q1, sh), q2, sh))
+        if g != f._one_p:
+            # only the factors of g can cancel against t
+            _, t, g = f.gcd(t, g)
+            q1 = poly_mul(g, q1, sh)
+        return f._make(t, poly_mul(q1, q2, sh))
 
     def __neg__(self):
         if not self.num:
@@ -415,20 +398,10 @@ class RationalFunction:
         n1, d1 = self.num, self.den
         n2, d2 = o.num, o.den
         one = f._one_p
-        if d2 == one:
-            g1 = one
-        else:
-            g1 = f.gcd(n1, d2)
-        if d1 == one:
-            g2 = one
-        else:
-            g2 = f.gcd(n2, d1)
-        if g1 != one:
-            n1 = poly_divexact(n1, g1, sh)
-            d2 = poly_divexact(d2, g1, sh)
-        if g2 != one:
-            n2 = poly_divexact(n2, g2, sh)
-            d1 = poly_divexact(d1, g2, sh)
+        if d2 != one:
+            _, n1, d2 = f.gcd(n1, d2)
+        if d1 != one:
+            _, n2, d1 = f.gcd(n2, d1)
         return f._make(poly_mul(n1, n2, sh), poly_mul(d1, d2, sh))
 
     def __truediv__(self, other):
@@ -483,9 +456,7 @@ class RationalFunction:
             if not nd:
                 return f.zero
             return f.frac(nd, self.den)
-        g = f.gcd(self.den, dd)
-        q = poly_divexact(self.den, g, sh)
-        dq = poly_divexact(dd, g, sh)
+        _, q, dq = f.gcd(self.den, dd)
         t = poly_add(poly_mul(nd, q, sh), poly_neg(poly_mul(self.num, dq, sh)))
         if not t:
             return f.zero

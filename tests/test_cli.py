@@ -106,11 +106,13 @@ def test_print_operator_builds_inside_the_arithmetic_memo(monkeypatch, capsys):
     assert memo_open == [True]
 
 
-def test_print_operator_unknown_name():
+def test_print_operator_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--print-operator", "Z[9]",
                   "--n", "1", "--m", "1", "--N", "2"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "colorcs: error: unknown operator name 'Z'"
 
 
 def test_pass_run_text(capsys, pass_manifest):

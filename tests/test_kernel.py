@@ -272,8 +272,9 @@ def test_gcd_extracts_known_factor():
 
         ga = poly_mul(gp, a, SHIFTS)
         gb = poly_mul(gp, b, SHIFTS)
-        got = poly_gcd(ga, gb, SHIFTS, cands)
+        got, qa, qb = poly_gcd(ga, gb, SHIFTS, cands)
         assert got == gp
+        assert (qa, qb) == (a, b)
 
 
 def test_gcd_binomial_powers_via_candidates(kern):
@@ -282,17 +283,22 @@ def test_gcd_binomial_powers_via_candidates(kern):
     w3 = kern.poly_mul(w2, w, SHIFTS)
     p = kern.poly_mul(w3, {monomials.pack((0, 0, 1, 0), SHIFTS): 2}, SHIFTS)
     q = kern.poly_mul(w2, {monomials.pack((0, 0, 0, 2), SHIFTS): 3, 0: 1}, SHIFTS)
-    got = poly_gcd(p, q, SHIFTS, (w,))
+    got, qp, qq = poly_gcd(p, q, SHIFTS, (w,))
     assert got == w2
+    assert kern.poly_mul(got, qp, SHIFTS) == p
+    assert kern.poly_mul(got, qq, SHIFTS) == q
 
 
 def test_gcd_contents_and_zero():
     six = {0: 6}
     four = {0: -4}
-    assert poly_gcd(six, four, SHIFTS) == {0: 2}
+    assert poly_gcd(six, four, SHIFTS) == ({0: 2}, {0: 3}, {0: -2})
     x1 = {monomials.pack((1, 0, 0, 0), SHIFTS): -3}
-    assert poly_gcd(x1, {}, SHIFTS) == {monomials.pack((1, 0, 0, 0), SHIFTS): 3}
-    assert poly_gcd({}, {}, SHIFTS) == {}
+    assert poly_gcd(x1, {}, SHIFTS) == \
+        ({monomials.pack((1, 0, 0, 0), SHIFTS): 3}, {0: -1}, {})
+    assert poly_gcd({}, x1, SHIFTS) == \
+        ({monomials.pack((1, 0, 0, 0), SHIFTS): 3}, {}, {0: -1})
+    assert poly_gcd({}, {}, SHIFTS) == ({}, {}, {})
 
 
 def test_gcd_divides_both_random():
@@ -308,13 +314,68 @@ def test_gcd_divides_both_random():
         ga = poly_mul(g, a, SHIFTS)
         gb = poly_mul(g, b, SHIFTS)
         try:
-            got = poly_gcd(ga, gb, SHIFTS)
+            got, qa, qb = poly_gcd(ga, gb, SHIFTS)
         except HeuristicGcdError:
             pytest.fail("heuristic gcd gave up on tame input")
         assert poly_divexact(ga, got, SHIFTS) is not None
         assert poly_divexact(gb, got, SHIFTS) is not None
+        assert poly_mul(got, qa, SHIFTS) == ga
+        assert poly_mul(got, qb, SHIFTS) == gb
         _, gp = poly_primitive(g, SHIFTS)
         assert poly_divexact(got, gp, SHIFTS) is not None
+
+
+def test_gcd_cofactors_random(monkeypatch):
+    import colorcs.gcdtools as gcdtools
+    from colorcs._kernel import poly_mul
+
+    heu_calls = []
+    heugcd = gcdtools._heugcd
+
+    def counting_heugcd(*args):
+        heu_calls.append(args)
+        return heugcd(*args)
+
+    monkeypatch.setattr(gcdtools, "_heugcd", counting_heugcd)
+    rng = random.Random(23)
+    cands = (binom(0, 1), binom(0, 2), binom(1, 2))
+
+    def rand_factor():
+        # integer content of either sign, a monomial and a random poly
+        mono = tuple(rng.randint(0, 2) for _ in range(NVARS))
+        p = {}
+        while not p:
+            p = rand_poly(rng, nterms=3, maxexp=2)
+        c = rng.choice((-6, -2, -1, 1, 3, 4))
+        return poly_mul(to_packed({mono: c}), to_packed(p), SHIFTS)
+
+    def check(a, b, candidates):
+        """g of (a, b); both operand orders give g times their cofactors."""
+        g, qa, qb = poly_gcd(a, b, SHIFTS, candidates)
+        assert poly_mul(g, qa, SHIFTS) == a
+        assert poly_mul(g, qb, SHIFTS) == b
+        if g == {0: 1}:
+            assert qa is a and qb is b
+        assert poly_gcd(b, a, SHIFTS, candidates) == (g, qb, qa)
+        return g
+
+    for _ in range(30):
+        shared = rand_factor()
+        for cand in cands:
+            for _ in range(rng.randint(0, 2)):
+                shared = poly_mul(shared, cand, SHIFTS)
+        a = poly_mul(shared, rand_factor(), SHIFTS)
+        b = poly_mul(shared, rand_factor(), SHIFTS)
+        # the candidates only save work: the heuristic path finds the same g
+        assert check(a, b, cands) == check(a, b, ())
+        # equal primitive parts after content and monomial: no heuristic gcd
+        seen = len(heu_calls)
+        check(a, poly_mul(a, to_packed({(0, 1, 0, 1): -5}), SHIFTS), cands)
+        assert len(heu_calls) == seen
+        check(a, {}, cands)
+        check({}, b, ())
+    check({}, {}, cands)
+    assert heu_calls
 
 
 # -- division by a position binomial x_u - x_v ---------------------------------

@@ -218,6 +218,27 @@ def test_leibniz_product_takes_each_derivative_once(A11, monkeypatch):
     assert len(calls) == 2
 
 
+def test_truncated_mul_skips_word_products_below_the_cut(A11, monkeypatch):
+    import colorcs.operators as operators
+
+    units = [(1, 1, 1), (2, 1, 1)]
+    a = A11.from_units(units, deriv=(1, 0))
+    b = A11.from_units(units, coeff=A11.field.omega(1, 2))
+    calls = []
+    full_word_mul = operators.full_word_mul
+
+    def counting_word_mul(*args):
+        calls.append(args)
+        return full_word_mul(*args)
+
+    monkeypatch.setattr(operators, "full_word_mul", counting_word_mul)
+    # every Leibniz term of the one pair has degree at most 1
+    assert not a.mul(b, min_deriv=2)
+    assert not calls
+    assert a.mul(b, min_deriv=1)
+    assert len(calls) == 1
+
+
 def rand_operator(ctx, rng, depth=0):
     pick = rng.randrange(7 if depth else 5)
     if pick == 0:

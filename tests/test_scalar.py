@@ -12,6 +12,7 @@ import pytest
 
 from colorcs import PoleError, ScalarField
 from colorcs.errors import ContextMismatchError
+from colorcs._kernel import poly_mul
 from colorcs.scalar import RationalFunction
 
 
@@ -332,8 +333,38 @@ def test_arithmetic_memo_shares_denominator_gcds(monkeypatch):
     with F.arithmetic_memo():
         a + b
         assert sum(1 for k in F._memo if k[0] == "gcd") == 1
-        g = F._gcd_dens(d1, d2)
-        assert F._gcd_dens(dict(d1), dict(d2)) is g
-        assert F._gcd_dens(d2, d1) is g
+        g, q1, q2 = F._gcd_dens(d1, d2)
+        assert F._gcd_dens(dict(d1), dict(d2))[0] is g
+        assert F._gcd_dens(d2, d1)[0] is g
         assert len(calls) == 3
     assert F._memo is None
+    assert poly_mul(g, q1, F.shifts) == d1
+    assert poly_mul(g, q2, F.shifts) == d2
+
+
+def test_gcd_dens_reads_swapped_cofactors(monkeypatch):
+    import colorcs.scalar as scalar
+
+    F = ScalarField(3)
+    w12 = F.omega(1, 2)
+    d1 = (w12 * F.omega(1, 3)).den
+    d2 = (w12 * w12 * F.omega(2, 3)).den
+    calls = []
+    poly_gcd = scalar.poly_gcd
+
+    def counting_gcd(*args):
+        calls.append(args[:2])
+        return poly_gcd(*args)
+
+    monkeypatch.setattr(scalar, "poly_gcd", counting_gcd)
+    for first, second in ((d1, d2), (d2, d1)):
+        with F.arithmetic_memo():
+            g, q1, q2 = F._gcd_dens(first, second)
+            assert g == w12.den
+            assert poly_mul(g, q1, F.shifts) == first
+            assert poly_mul(g, q2, F.shifts) == second
+            rg, r2, r1 = F._gcd_dens(second, first)
+            assert rg is g and r1 is q1 and r2 is q2
+            assert sum(1 for k in F._memo if k[0] == "gcd") == 1
+        # computed once, in the order of the first call
+        assert calls.pop() == (first, second) and not calls
