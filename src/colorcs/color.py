@@ -12,14 +12,15 @@ colors strictly left of its site; a word acts with its rightmost (highest
 site) unit first.  Words kept sparse are convenient to build with, but they
 are linearly dependent as operators (summing e(i, c, c) over c gives the
 identity), so canonical operator bookkeeping uses full-support words: one
-unit at every site, encoded as a flat tuple (a1, b1, ..., aN, bN).
+unit at every site.
 
-A full-support word w is, up to sign, the matrix unit |out><in| on the
-color space, with out colors ``w[0::2]`` and in colors ``w[1::2]``.  It
-acts only on the basis state equal to its in tuple, and a product w1 w2 is
-nonzero only when in(w1) == out(w2).  Callers find those matches with a
-dictionary lookup on the tuples; ``full_word_mul`` and ``full_word_act``
-then compute only the sign and the resulting word or state.
+A full-support word is, up to sign, the matrix unit |out><in| on the color
+space, and it is stored as that pair: a tuple (out, in) of two basis
+states, out = (a1, ..., aN) and in = (b1, ..., bN).  It acts only on the
+basis state equal to in, and a product w1 w2 is nonzero only when
+w1[1] == w2[0].  Callers find those matches with a dictionary lookup on the
+tuples; ``full_word_mul`` and ``full_word_act`` then compute only the sign,
+and the resulting word or state reuses tuples the operands already hold.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class GradingContext:
             raise ValueError(f"color {a} out of range 1..{self.dim}")
         return self._par[a]
 
-    def unit_parity(self, a: int, b: int) -> int:
-        return (self._par[a] + self._par[b]) & 1
-
     def basis_states(self):
         """All color basis states, lexicographic."""
         return product(self.colors, repeat=self.N)
@@ -67,24 +65,9 @@ class ColorWord:
         self.ctx = ctx
         self.units = units
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ColorWord)
-            and self.ctx is other.ctx
-            and self.units == other.units
-        )
-
-    def __hash__(self):
-        return hash(self.units)
-
     def __repr__(self):
         body = " ".join(f"e({i},{a},{b})" for i, a, b in self.units)
         return f"ColorWord<{body or '1'}>"
-
-    @property
-    def parity(self) -> int:
-        ctx = self.ctx
-        return sum(ctx.unit_parity(a, b) for _, a, b in self.units) & 1
 
     def act_basis(self, state):
         """(sign, new_state) for this word applied to a basis state.
@@ -109,28 +92,20 @@ class ColorWord:
         return sign, tuple(st)
 
     def expand_full(self):
-        """Full-support word keys summing to this word.
+        """Full-support (out, in) words summing to this word.
 
         Absent sites are filled with diagonal units in all colors; these
-        are even, so every expanded key carries coefficient +1.
+        are even, so every expanded word carries coefficient +1.
         """
-        ctx = self.ctx
+        sites = range(1, self.ctx.N + 1)
         have = {i: (a, b) for i, a, b in self.units}
-        missing = [i for i in range(1, ctx.N + 1) if i not in have]
-        keys = []
-        for fill in product(ctx.colors, repeat=len(missing)):
-            it = iter(fill)
-            flat = []
-            for i in range(1, ctx.N + 1):
-                if i in have:
-                    a, b = have[i]
-                else:
-                    c = next(it)
-                    a = b = c
-                flat.append(a)
-                flat.append(b)
-            keys.append(tuple(flat))
-        return keys
+        missing = [i for i in sites if i not in have]
+        words = []
+        for fill in product(self.ctx.colors, repeat=len(missing)):
+            pairs = dict(zip(missing, zip(fill, fill)))
+            pairs.update(have)
+            words.append(tuple(zip(*(pairs[i] for i in sites))))
+        return words
 
 
 def word_from_units(ctx, units):
@@ -184,32 +159,28 @@ def permutation_terms(ctx, i, j):
 
 
 def full_word_mul(ctx, w1, w2):
-    """(sign, key) for the product w1 w2 of full-support words whose tuples
-    match: in(w1) == out(w2), that is w1[1::2] == w2[0::2].
+    """(sign, word) for the product w1 w2 of full-support words that
+    match: in(w1) == out(w2), that is w1[1] == w2[0].
 
     The sign moves each unit of w2 left past the units of w1 at higher
-    sites; same-site contraction itself is sign-free.  The product key has
-    the out colors of w1 and the in colors of w2.
+    sites; same-site contraction itself is sign-free.  The product is
+    (out(w1), in(w2)).
     """
     par = ctx._par
     exp = 0
     pref = 0
-    out = []
-    for idx in range(ctx.N):
-        a1 = w1[2 * idx]
-        b2 = w2[2 * idx + 1]
-        if (par[a1] + par[w1[2 * idx + 1]]) & 1:
+    for a1, b1, a2, b2 in zip(w1[0], w1[1], w2[0], w2[1]):
+        if (par[a1] + par[b1]) & 1:
             exp += pref
-        pref += (par[w2[2 * idx]] + par[b2]) & 1
-        out.append(a1)
-        out.append(b2)
+        pref += (par[a2] + par[b2]) & 1
     if exp & 1:
-        return -1, tuple(out)
-    return 1, tuple(out)
+        return -1, (w1[0], w2[1])
+    return 1, (w1[0], w2[1])
 
 
 def full_word_act(ctx, key):
-    """(sign, new_state) for a full-support word on its in tuple key[1::2].
+    """(sign, new_state) for a full-support word (out, in) on its in state
+    key[1]; the new state is out.
 
     The rightmost unit acts first, so an odd unit at a site sees only in
     colors to its left in the Koszul sign.
@@ -217,28 +188,20 @@ def full_word_act(ctx, key):
     par = ctx._par
     exp = 0
     pref = 0
-    for idx in range(ctx.N):
-        b = key[2 * idx + 1]
-        if (par[key[2 * idx]] + par[b]) & 1:
+    for a, b in zip(key[0], key[1]):
+        if (par[a] + par[b]) & 1:
             exp += pref
         pref += par[b]
     if exp & 1:
-        return -1, key[0::2]
-    return 1, key[0::2]
+        return -1, key[0]
+    return 1, key[0]
 
 
 def full_word_parity(ctx, key) -> int:
     par = ctx._par
     acc = 0
-    for i in range(ctx.N):
-        acc += par[key[2 * i]] + par[key[2 * i + 1]]
+    for c in key[0]:
+        acc += par[c]
+    for c in key[1]:
+        acc += par[c]
     return acc & 1
-
-
-def identity_key(ctx, fill):
-    """Full-support diagonal key for a given color fill tuple."""
-    flat = []
-    for c in fill:
-        flat.append(c)
-        flat.append(c)
-    return tuple(flat)

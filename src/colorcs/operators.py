@@ -2,17 +2,19 @@
 partial derivatives, kept in a canonical merged form.
 
 A term is coeff(x, lam) * W * D^p where W is a full-support color word (one
-unit per site, flat key) and p a tuple of derivative orders per site.
+unit per site) and p a tuple of derivative orders per site.
 Multiplication normalizes with the graded word product and the Leibniz
 rule; equal canonical forms mean equal operators, because full-support
 words act linearly independently on the color basis and monomials times
 derivatives are independent on polynomial amplitudes.
 
-A word's out colors are ``w[0::2]`` and its in colors ``w[1::2]``.  A
-product joins on the tuples: ``mul`` indexes the right operand's terms by
-their out tuple, and each left term looks up its in tuple, so only matching
-pairs (in1 == out2) are visited.  A word acts only on the basis state equal
-to its in tuple, which ``apply_to`` looks up in the state.
+A word is stored as its matrix unit, the pair (out, in) of color tuples
+(see ``color``).  A product joins on the tuples: ``mul`` indexes the right
+operand's terms by their out tuple, and each left term looks up its in
+tuple, so only matching pairs (in1 == out2) are visited.  A word acts only
+on the basis state equal to its in tuple, which ``apply_to`` looks up in
+the state.  Printing orders words site by site as (a1, b1, ..., aN, bN),
+through ``display_keys``.
 
 The running term budget is a context variable so a verification run can
 bound intermediate growth without threading a parameter everywhere.
@@ -30,7 +32,6 @@ from .color import (
     full_word_act,
     full_word_mul,
     full_word_parity,
-    identity_key,
     permutation_terms,
     word_from_units,
 )
@@ -79,7 +80,7 @@ class AlgebraContext:
         if self._identity_terms is None:
             g = self.grading
             self._identity_terms = tuple(
-                identity_key(g, fill) for fill in g.basis_states()
+                (fill, fill) for fill in g.basis_states()
             )
         return self._identity_terms
 
@@ -310,10 +311,10 @@ class OperatorSum:
         budget = _TERM_BUDGET.get()
         by_out = {}
         for key, g in other.terms.items():
-            by_out.setdefault(key[0][0::2], []).append((key, g))
+            by_out.setdefault(key[0][0], []).append((key, g))
         acc = {}
         for (w1, p), f in self.terms.items():
-            matches = by_out.get(w1[1::2])
+            matches = by_out.get(w1[1])
             if matches is None:
                 continue
             p_total = sum(p)
@@ -366,7 +367,7 @@ class OperatorSum:
         grading = self.ctx.grading
         out = {}
         for (w, p), f in self.terms.items():
-            amp = state.get(w[1::2])
+            amp = state.get(w[1])
             if not amp:
                 continue
             damp = _diff_multi(amp, p)
@@ -422,20 +423,17 @@ class OperatorSum:
         out = {}
         for (w, p), f in self.terms.items():
             units = [
-                (sigma[s] + 1, w[2 * s], w[2 * s + 1]) for s in range(ctx.N)
+                (sigma[s] + 1, a, b) for s, (a, b) in enumerate(zip(*w))
             ]
             sign, word = word_from_units(grading, units)
-            flat = []
-            for site, a, b in word.units:
-                flat.append(a)
-                flat.append(b)
+            _, out_st, in_st = zip(*word.units)
             q = [0] * ctx.N
             for s in range(ctx.N):
                 q[sigma[s]] = p[s]
             g = f.permute(sigma)
             if sign < 0:
                 g = -g
-            key = (tuple(flat), tuple(q))
+            key = ((out_st, in_st), tuple(q))
             prev = out.get(key)
             tot = g if prev is None else prev + g
             if tot:
@@ -446,23 +444,26 @@ class OperatorSum:
 
     # -- formatting ---------------------------------------------------------
 
+    def display_keys(self):
+        """Term keys in printing order: highest total derivative degree
+        first, then the derivative tuple, then the word read site by site
+        as (a1, b1, ..., aN, bN)."""
+        return sorted(
+            self.terms, key=lambda k: (-sum(k[1]), k[1], tuple(zip(*k[0])))
+        )
+
     def to_str(self, max_terms=None):
         if not self.terms:
             return "0"
-        keys = sorted(
-            self.terms,
-            key=lambda k: (-sum(k[1]), k[1], k[0]),
-        )
+        keys = self.display_keys()
         lines = []
         for key in keys[: max_terms or len(keys)]:
             word, p = key
             f = self.terms[key]
             bits = [f"({f})"]
-            wbits = []
-            for s in range(self.ctx.N):
-                a, b = word[2 * s], word[2 * s + 1]
-                wbits.append(f"e({s + 1},{a},{b})")
-            bits.append("".join(wbits))
+            bits.append("".join(
+                f"e({s + 1},{a},{b})" for s, (a, b) in enumerate(zip(*word))
+            ))
             dbits = []
             for s, k in enumerate(p):
                 if k:

@@ -816,22 +816,21 @@ for _spec in [
 
 
 def residual_records(op, max_terms=200):
-    """Residual terms in a plain-data form: coefficient numerator and
-    denominator strings, the color word as (site, a, b) triples, and the
-    derivative exponent vector."""
+    """Residual terms in a plain-data form, in ``to_str`` order: coefficient
+    numerator and denominator strings, the (out, in) color word as one
+    (site, out color, in color) triple per site, and the derivative
+    exponent vector."""
     from .scalar import poly_str
 
     field = op.ctx.field
-    keys = sorted(op.terms, key=lambda k: (-sum(k[1]), k[1], k[0]))
     out = []
-    for key in keys[:max_terms]:
+    for key in op.display_keys()[:max_terms]:
         word, p = key
         f = op.terms[key]
         out.append({
             "num": poly_str(f.num, field),
             "den": poly_str(f.den, field),
-            "word": [[s + 1, word[2 * s], word[2 * s + 1]]
-                     for s in range(op.ctx.N)],
+            "word": [[s + 1, a, b] for s, (a, b) in enumerate(zip(*word))],
             "deriv": list(p),
         })
     return out

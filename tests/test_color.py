@@ -137,18 +137,15 @@ def test_permutation_squares_to_identity(sup3):
 
 
 def rand_full_key(ctx, rng):
-    flat = []
-    for _ in range(ctx.N):
-        flat.append(rng.choice(ctx.colors))
-        flat.append(rng.choice(ctx.colors))
-    return tuple(flat)
+    out = tuple(rng.choice(ctx.colors) for _ in range(ctx.N))
+    return out, tuple(rng.choice(ctx.colors) for _ in range(ctx.N))
 
 
 def as_word(ctx, key):
-    """The full-support key as a ColorWord, whose act_basis is the
-    reference action."""
+    """The full-support (out, in) key as a ColorWord, whose act_basis is
+    the reference action."""
     return ColorWord(
-        ctx, tuple((i + 1, key[2 * i], key[2 * i + 1]) for i in range(ctx.N))
+        ctx, tuple((i + 1, key[0][i], key[1][i]) for i in range(ctx.N))
     )
 
 
@@ -159,7 +156,7 @@ def test_full_word_act_matches_reference(sup3):
         k = rand_full_key(sup3, rng)
         ref = as_word(sup3, k)
         for st in states:
-            if st == k[1::2]:
+            if st == k[1]:
                 assert full_word_act(sup3, k) == ref.act_basis(st)
             else:
                 assert ref.act_basis(st) is None
@@ -172,7 +169,7 @@ def test_full_word_mul_matches_action(sup3):
         w1 = rand_full_key(sup3, rng)
         other = rand_full_key(sup3, rng)
         # w2 matches w1 (out(w2) == in(w1)); other almost never does
-        w2 = tuple(c for pair in zip(w1[1::2], other[1::2]) for c in pair)
+        w2 = (w1[1], other[1])
         ref1 = as_word(sup3, w1)
         for right in (w2, other):
             ref2 = as_word(sup3, right)
@@ -183,11 +180,11 @@ def test_full_word_mul_matches_action(sup3):
                     hit2 = ref1.act_basis(hit[1])
                     if hit2 is not None:
                         composed[st] = (hit[0] * hit2[0], hit2[1])
-            if w1[1::2] != right[0::2]:
+            if w1[1] != right[0]:
                 assert composed == {}
                 continue
             psgn, pkey = full_word_mul(sup3, w1, right)
-            assert pkey[1::2] == right[1::2] and pkey[0::2] == w1[0::2]
+            assert pkey[1] == right[1] and pkey[0] == w1[0]
             ref = as_word(sup3, pkey)
             direct = {}
             for st in states:
@@ -201,7 +198,7 @@ def test_full_word_parity(sup3):
     rng = random.Random(43)
     for _ in range(50):
         k = rand_full_key(sup3, rng)
-        ref = sum(sup3.parity(c) for c in k) & 1
+        ref = sum(sup3.parity(c) for c in k[0] + k[1]) & 1
         assert full_word_parity(sup3, k) == ref
 
 
@@ -228,7 +225,7 @@ def test_expand_full_reproduces_sparse_action(sup3):
             sparse = w.act_basis(st)
             total = {}
             for k in keys:
-                if k[1::2] != st:
+                if k[1] != st:
                     continue
                 sg, out = full_word_act(sup3, k)
                 total[out] = total.get(out, 0) + sg

@@ -1,27 +1,66 @@
 """Kernel polynomial arithmetic against an independent tuple-keyed model.
 
-Every test runs on each available backend; once the compiled extension is
-built the same assertions pin both implementations to the reference.
+Every test taking ``kern`` runs on both backends, so the same assertions
+pin both implementations to the reference.  Where the compiled extension
+is not installed, the tracked generated C source is built with gcc into a
+temporary directory and loaded from there, without touching the active
+backend; without gcc, the C source or the Python headers the compiled
+runs are skipped.
 """
 
+import importlib.util
+import os
 import random
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 from fractions import Fraction
 
-from colorcs import monomials
+import colorcs
+from colorcs import _poly_py, monomials
 from colorcs._kernel import available_backends
 from colorcs.gcdtools import HeuristicGcdError, poly_gcd, poly_primitive
 
 NVARS = 4
 SHIFTS = monomials.make_shifts(NVARS)
 
-BACKENDS = available_backends()
+
+def _build_compiled(out_dir):
+    """Compile ``_poly_cy.c`` into out_dir and load it as colorcs._poly_cy,
+    without registering it in sys.modules."""
+    cc = shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    src = os.path.join(os.path.dirname(colorcs.__file__), "_poly_cy.c")
+    if cc is None or not all(map(os.path.exists, (
+            src, os.path.join(include, "Python.h")))):
+        pytest.skip("no gcc, C source or Python headers for the compiled kernel")
+    target = out_dir / ("_poly_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        [cc, "-O1", "-shared", "-fPIC", "-I" + include, src, "-o", str(target)],
+        check=True, capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location("colorcs._poly_cy", target)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.BACKEND == "compiled"
+    return mod
 
 
-@pytest.fixture(params=BACKENDS, ids=[name for name, _ in BACKENDS])
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    installed = dict(available_backends()).get("compiled")
+    if installed is not None:
+        return installed
+    return _build_compiled(tmp_path_factory.mktemp("poly_cy"))
+
+
+@pytest.fixture(params=["pure", "compiled"])
 def kern(request):
-    return request.param[1]
+    if request.param == "pure":
+        return _poly_py
+    return request.getfixturevalue("compiled_kernel")
 
 
 # -- reference arithmetic on exponent-tuple keys --------------------------

@@ -312,3 +312,21 @@ def test_apply_matches_unit_action(A11):
     assert got == {(1, 2): f.one, (2, 2): -f.x(1)}
     got = A11.deriv(1).apply_to({(1, 1): f.x(1) * f.x(1)})
     assert got == {(1, 1): f.x(1) * 2}
+
+
+def test_display_order_reads_words_site_by_site(A11):
+    from colorcs.verify import residual_records
+
+    # out (1,1) in (2,1) reads 1,2,1,1 site by site; out (1,2) in (1,1)
+    # reads 1,1,2,1.  Ordered as (out, in) pairs the first would come first.
+    op = A11.from_units([(1, 1, 2), (2, 1, 1)], coeff=2) + A11.from_units(
+        [(1, 1, 1), (2, 2, 1)], coeff=3
+    )
+    assert op.to_str().splitlines() == [
+        "(3) * e(1,1,1)e(2,2,1)",
+        "(2) * e(1,1,2)e(2,1,1)",
+    ]
+    assert [r["word"] for r in residual_records(op)] == [
+        [[1, 1, 1], [2, 2, 1]],
+        [[1, 1, 2], [2, 1, 1]],
+    ]
