@@ -11,10 +11,15 @@ derivatives are independent on polynomial amplitudes.
 A word is stored as its matrix unit, the pair (out, in) of color tuples
 (see ``color``).  A product joins on the tuples: ``mul`` indexes the right
 operand's terms by their out tuple, and each left term looks up its in
-tuple, so only matching pairs (in1 == out2) are visited.  A word acts only
-on the basis state equal to its in tuple, which ``apply_to`` looks up in
-the state.  Printing orders words site by site as (a1, b1, ..., aN, bN),
-through ``display_keys``.
+tuple, so only matching pairs (in1 == out2) are visited.  The index is
+built on the first product that has the operand on the right and kept in
+the operand, as its parity is; that is sound because no operation mutates
+``terms`` after construction.  Subtraction is termwise: ``a - b``
+subtracts matching coefficients and negates only the terms b alone has,
+without building ``-b`` first.  A word acts only on the basis state equal
+to its in tuple, which ``apply_to`` looks up in the state.  Printing
+orders words site by site as (a1, b1, ..., aN, bN), through
+``display_keys``.
 
 The running term budget is a context variable so a verification run can
 bound intermediate growth without threading a parameter everywhere.
@@ -175,12 +180,13 @@ def _diff_multi(rf, deriv):
 
 
 class OperatorSum:
-    __slots__ = ("ctx", "terms", "_par")
+    __slots__ = ("ctx", "terms", "_par", "_by_out")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         self.terms = terms
         self._par = None
+        self._by_out = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -231,31 +237,41 @@ class OperatorSum:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for key, g in other.terms.items():
-            f = out.get(key)
-            if f is None:
-                out[key] = g
-            else:
-                s = f + g
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return OperatorSum(self.ctx, out)
+        return self._merge(other, False)
 
     def __neg__(self):
         return OperatorSum(self.ctx, {k: -f for k, f in self.terms.items()})
 
     def __sub__(self, other):
         self._check(other)
-        return self.__add__(-other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        return self._merge(other, True)
+
+    def _merge(self, other, subtract):
+        """self + other, or self - other coefficient by coefficient."""
+        out = dict(self.terms)
+        for key, g in other.terms.items():
+            f = out.get(key)
+            if f is None:
+                out[key] = -g if subtract else g
+            else:
+                s = f - g if subtract else f + g
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return OperatorSum(self.ctx, out)
 
     def scale(self, value):
         """Left multiplication by a coefficient (commutes past nothing)."""
         if isinstance(value, int):
             if value == 1:
                 return self
+            if value == -1:
+                return -self
             if value == 0:
                 return self.ctx.zero()
             out = {}
@@ -309,9 +325,7 @@ class OperatorSum:
             return ctx.zero()
         grading = ctx.grading
         budget = _TERM_BUDGET.get()
-        by_out = {}
-        for key, g in other.terms.items():
-            by_out.setdefault(key[0][0], []).append((key, g))
+        by_out = other._join_index()
         acc = {}
         for (w1, p), f in self.terms.items():
             matches = by_out.get(w1[1])
@@ -345,6 +359,17 @@ class OperatorSum:
                         val = val._scale_int(comb)
                     _acc_add(acc, (w, tuple(r)), val, budget)
         return OperatorSum(ctx, acc)
+
+    def _join_index(self):
+        """This operator's terms grouped by the out tuple of their word,
+        built on the first product that has it on the right."""
+        idx = self._by_out
+        if idx is None:
+            idx = {}
+            for key, g in self.terms.items():
+                idx.setdefault(key[0][0], []).append((key, g))
+            self._by_out = idx
+        return idx
 
     def bracket(self, other, min_deriv=None):
         """Graded commutator [self, other}: anticommutator when both odd;

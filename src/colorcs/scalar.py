@@ -34,6 +34,13 @@ RationalFunction and its ``num``/``den`` dicts are never mutated after
 construction: every operation builds new ones.  The scope is bounded by
 its caller (one verdict in ``verify``, one build in ``cli``) and drops
 the memo on exit.
+
+Two kinds of request skip the memo, because their answer needs no
+arithmetic: a product with the unit returns the other factor, and the
+difference of equal functions returns ``field.zero``.  The unit test is
+an identity test, since every 1 the field builds is ``field.one`` itself
+(``const``, ``_make`` and negation return it); a 1 built by hand only
+misses the shortcut.
 """
 
 from __future__ import annotations
@@ -180,6 +187,8 @@ class ScalarField:
         if not num:
             return self.zero
         if len(den) == 1 and den.get(0) == 1:
+            if len(num) == 1 and num.get(0) == 1:
+                return self.one
             den = self._one_p
         return RationalFunction(self, num, den)
 
@@ -191,6 +200,8 @@ class ScalarField:
         c = Fraction(c)
         if not c:
             return self.zero
+        if c == 1:
+            return self.one
         num = {0: c.numerator}
         den = self._one_p if c.denominator == 1 else {0: c.denominator}
         return RationalFunction(self, num, den)
@@ -351,21 +362,27 @@ class RationalFunction:
         return f._make(t, poly_mul(q1, q2, sh))
 
     def __neg__(self):
-        if not self.num:
+        num = self.num
+        if not num:
             return self
-        return RationalFunction(self.field, poly_neg(self.num), self.den)
+        f = self.field
+        if num.get(0) == -1 and len(num) == 1 and self.den is f._one_p:
+            return f.one
+        return RationalFunction(f, poly_neg(num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o is self or o == self:
+            return self.field.zero
         return self.__add__(-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o.__add__(-self)
+        return o.__sub__(self)
 
     def _scale_int(self, c: int):
         f = self.field
@@ -373,6 +390,8 @@ class RationalFunction:
             return f.zero
         if c == 1:
             return self
+        if c == -1:
+            return -self
         cd = poly_content(self.den)
         g = math.gcd(c, cd)
         num = poly_scale(self.num, c // g)
@@ -385,6 +404,11 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        one = self.field.one
+        if o is one:
+            return self
+        if self is one:
+            return o
         if not self.num or not o.num:
             return self.field.zero
         return self._mul(o)
@@ -415,7 +439,7 @@ class RationalFunction:
         if lc < 0:
             num = poly_neg(num)
             den = poly_neg(den)
-        return self.__mul__(RationalFunction(self.field, num, den))
+        return self.__mul__(self.field._make(num, den))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from colorcs.errors import CapExceededError, MixedParityError, PoleError
-from colorcs.operators import AlgebraContext, term_budget
+from colorcs.operators import AlgebraContext, OperatorSum, term_budget
 from colorcs.scalar import RationalFunction
 
 
@@ -330,3 +330,66 @@ def test_display_order_reads_words_site_by_site(A11):
         [[1, 1, 1], [2, 2, 1]],
         [[1, 1, 2], [2, 1, 1]],
     ]
+
+
+def _snapshot(op):
+    return [(k, id(f), f) for k, f in op.terms.items()]
+
+
+def test_difference_is_termwise(A11, A21):
+    rng = random.Random(73)
+    for ctx in (A11, A21):
+        zero = ctx.zero()
+        for _ in range(15):
+            a = rand_operator(ctx, rng, depth=1)
+            b = rand_operator(ctx, rng, depth=1)
+            assert a - b == a + (-b)
+            assert b - a == -(a - b)
+            assert (a - a).is_zero
+            assert (a - OperatorSum(ctx, dict(a.terms))).is_zero
+            assert a - zero is a
+            assert zero - b == -b
+            assert a.scale(-1) == -a == a.scale(Fraction(-1))
+
+
+def test_join_index_is_built_once_per_right_operand(A11, A21):
+    rng = random.Random(79)
+    for ctx in (A11, A21):
+        for _ in range(10):
+            a1 = rand_operator(ctx, rng, depth=1)
+            a2 = rand_operator(ctx, rng, depth=1)
+            b = rand_operator(ctx, rng, depth=1)
+            if not (a1 and b):
+                continue
+            p1 = a1.mul(b)
+            idx = b._by_out
+            assert idx is not None
+            p2 = a2.mul(b, min_deriv=1)
+            assert b._by_out is idx
+            fresh = OperatorSum(ctx, dict(b.terms))
+            assert p1 == a1.mul(fresh)
+            assert p2 == a2.mul(OperatorSum(ctx, dict(b.terms)), min_deriv=1)
+            assert fresh._by_out == idx
+
+
+def test_operations_never_mutate_operand_terms(A11, A21):
+    # the join index and the models memo both rely on this
+    rng = random.Random(83)
+    for ctx in (A11, A21):
+        f = ctx.field
+        for _ in range(12):
+            a = rand_operator(ctx, rng, depth=1)
+            b = rand_operator(ctx, rng, depth=1)
+            st = rand_state(ctx, rng)
+            before = (_snapshot(a), _snapshot(b), dict(st))
+            a.mul(b)
+            b.mul(a, min_deriv=1)
+            a + b
+            b + a
+            a - b
+            b - a
+            a.scale(-1)
+            a.scale(3)
+            a.scale(f.omega(1, 2))
+            a.apply_to(st)
+            assert (_snapshot(a), _snapshot(b), dict(st)) == before

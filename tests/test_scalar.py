@@ -368,3 +368,65 @@ def test_gcd_dens_reads_swapped_cofactors(monkeypatch):
             assert sum(1 for k in F._memo if k[0] == "gcd") == 1
         # computed once, in the order of the first call
         assert calls.pop() == (first, second) and not calls
+
+
+def test_unit_coefficient_is_canonical(F3):
+    one = F3.one
+    assert F3.const(1) is one and F3.const(Fraction(2, 2)) is one
+    assert F3.monomial({}) is one
+    # a quotient that reduces to 1 lands on the same object
+    assert F3.omega(1, 2) * (F3.x(1) - F3.x(2)) is one
+    assert F3.theta(1, 2) / F3.theta(1, 2) is one
+    assert F3.one / F3.one is one
+    assert -F3.const(-1) is one and F3.const(-1)._scale_int(-1) is one
+    assert 2 - F3.one is one
+
+
+def test_unit_products_skip_the_memo():
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    with F.arithmetic_memo():
+        for f in (a, b, F.lam, F.zero, F.one):
+            assert F.one * f is f
+            assert f * F.one is f
+        assert F._memo == {}
+        assert a * _copy(F.one) == a
+        assert len(F._memo) == 1
+
+
+def test_equal_differences_skip_the_memo():
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    with F.arithmetic_memo():
+        for f in (a, b, F.one, F.zero):
+            assert f - f is F.zero
+            assert f - _copy(f) is F.zero
+        assert F._memo == {}
+        # equal numerators over different denominators do not cancel
+        t = F.theta(1, 2)
+        assert t.num == F.x(1).num
+        assert t - F.x(1) == t + (-F.x(1)) != F.zero
+        assert F.x(1) - t == -(t - F.x(1))
+
+
+def test_difference_is_sum_with_negation(F3):
+    rng = random.Random(37)
+    for _ in range(60):
+        f = rand_rf(F3, rng)
+        g = rand_rf(F3, rng)
+        assert f - g == f + (-g)
+        assert g - f == -(f - g)
+        assert f - F3.zero is f
+        assert F3.zero - g == -g
+        c = rng.randint(-3, 3)
+        assert c - f == F3.const(c) + (-f)
+        assert f - c == f + F3.const(-c)
+
+
+def test_negation_by_scaling_matches_the_product(F3):
+    rng = random.Random(41)
+    minus_one = F3.const(-1)
+    for _ in range(40):
+        f = rand_rf(F3, rng)
+        assert f._scale_int(-1) == -f == f * minus_one
+        assert f._scale_int(-3) == -(f._scale_int(3))
