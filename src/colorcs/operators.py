@@ -21,6 +21,24 @@ to its in tuple, which ``apply_to`` looks up in the state.  Printing
 orders words site by site as (a1, b1, ..., aN, bN), through
 ``display_keys``.
 
+Inside the field's arithmetic memo (``ScalarField.arithmetic_memo``, one
+verdict) ``bracket`` computes each distinct bracket once.  The entry is
+keyed by ("bracket", id(a), id(b), min_deriv), because an operator is
+unhashable, and holds (a, b, result): pinning both operands keeps their
+ids from being reused while the entry lives.  A repeat returns the stored
+result, and the graded swap [b, a} is read off [a, b}: the same result
+when both are odd (the anticommutator is symmetric), its negation
+otherwise.  Each computed bracket still makes its two ``mul`` calls.
+``min_deriv`` is part of the key, so a truncated bracket is never derived
+from a full one or the reverse; the oracle compares exactly those two.
+The memo holds one entry per distinct (a, b, min_deriv) a verdict
+evaluates, and most results are held for the verdict anyway by the
+``Bracket`` nodes of its instances; what it adds is the entries, the
+truncated tops and the brackets that model builders compute on the way.
+Outside a memo scope nothing is stored.  A product's word sign is folded
+into its accumulation: a negative pair subtracts from an existing term
+and negates only a new one.
+
 The running term budget is a context variable so a verification run can
 bound intermediate growth without threading a parameter everywhere.
 """
@@ -343,21 +361,18 @@ class OperatorSum:
                         continue
                 sign, w = full_word_mul(grading, w1, w2)
                 if not p_total:
-                    val = f * g
-                    if sign < 0:
-                        val = -val
-                    _acc_add(acc, (w, q), val, budget)
+                    _acc_add(acc, (w, q), f * g, sign, budget)
                     continue
                 for ts, dg in _leibniz(g, p, nz, cap):
                     r = [a + b for a, b in zip(p, q)]
-                    comb = 1 if sign > 0 else -1
+                    comb = 1
                     for i, ti in zip(nz, ts):
                         r[i] -= ti
                         comb *= math.comb(p[i], ti)
                     val = f * dg
                     if comb != 1:
                         val = val._scale_int(comb)
-                    _acc_add(acc, (w, tuple(r)), val, budget)
+                    _acc_add(acc, (w, tuple(r)), val, sign, budget)
         return OperatorSum(ctx, acc)
 
     def _join_index(self):
@@ -373,15 +388,26 @@ class OperatorSum:
 
     def bracket(self, other, min_deriv=None):
         """Graded commutator [self, other}: anticommutator when both odd;
-        min_deriv truncates both products as in ``mul``."""
+        min_deriv truncates both products as in ``mul``.  Shared inside
+        the field's arithmetic memo (see the module docstring)."""
         self._check(other)
-        pa = self.parity()
-        pb = other.parity()
+        odd = self.parity() and other.parity()
+        memo = self.ctx.field._memo
+        if memo is not None:
+            key = ("bracket", id(self), id(other), min_deriv)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit[2]
+            hit = memo.get(("bracket", id(other), id(self), min_deriv))
+            if hit is not None:
+                return hit[2] if odd else -hit[2]
         ab = self.mul(other, min_deriv)
         ba = other.mul(self, min_deriv)
-        if pa and pb:
-            return ab + ba
-        return ab - ba
+        out = ab + ba if odd else ab - ba
+        if memo is not None:
+            # the entry pins both operands, so their ids stay theirs
+            memo[key] = (self, other, out)
+        return out
 
     # -- actions and views -----------------------------------------------------
 
@@ -504,17 +530,19 @@ class OperatorSum:
         return f"OperatorSum<{len(self.terms)} terms>"
 
 
-def _acc_add(acc, key, val, budget):
+def _acc_add(acc, key, val, sign, budget):
+    """Add sign * val into acc[key]; a negative sign subtracts, so only a
+    new key pays for the negation."""
     prev = acc.get(key)
     if prev is None:
         if val:
-            acc[key] = val
+            acc[key] = val if sign > 0 else -val
             if budget is not None and len(acc) > budget:
                 raise CapExceededError(
                     f"operator grew past {budget} terms"
                 )
     else:
-        tot = prev + val
+        tot = prev + val if sign > 0 else prev - val
         if tot:
             acc[key] = tot
         else:

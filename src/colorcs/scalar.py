@@ -33,7 +33,9 @@ else.  A hit hands out the stored object, which is sound because a
 RationalFunction and its ``num``/``den`` dicts are never mutated after
 construction: every operation builds new ones.  The scope is bounded by
 its caller (one verdict in ``verify``, one build in ``cli``) and drops
-the memo on exit.
+the memo on exit.  The same scope also carries the operator layer's
+bracket entries, under a ``"bracket"`` tag no coefficient key uses; what
+they share and what they pin is stated in ``operators``.
 
 Two kinds of request skip the memo, because their answer needs no
 arithmetic: a product with the unit returns the other factor, and the

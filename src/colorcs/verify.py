@@ -25,7 +25,9 @@ inside that field's arithmetic memo (see ``scalar``), so a sum, product or
 derivative one path computed is handed to the other.  A hit returns the
 canonical result recomputation would return, so the memo saves work
 without coupling the two paths: the independence lives in the operator
-product and action code, which the memo does not touch.
+product and action code.  The memo also shares whole brackets
+(``OperatorSum.bracket``), but only the symbolic path reads them; the
+action path applies a bracket's operands to states itself.
 
 The oracle checks the residual the symbolic verdict was read from: the
 sampled instances are drawn before the symbolic pass, which keeps their
@@ -181,7 +183,15 @@ class Add(Expr):
     def _build(self):
         op = None
         for it in self.items:
-            op = it.operator() if op is None else op + it.operator()
+            if op is None:
+                op = it.operator()
+            elif isinstance(it, Scale) and isinstance(it.coeff, int) \
+                    and it.coeff == -1:
+                # a - b is spelled Add(a, Scale(b, -1)): subtract b termwise
+                # instead of building -b first
+                op = op - it.inner.operator()
+            else:
+                op = op + it.operator()
         return op
 
     def par(self):

@@ -393,3 +393,117 @@ def test_operations_never_mutate_operand_terms(A11, A21):
             a.scale(f.omega(1, 2))
             a.apply_to(st)
             assert (_snapshot(a), _snapshot(b), dict(st)) == before
+
+
+def rand_graded_operator(ctx, rng, parity):
+    """A nonzero sum of one to three units of word parity `parity`, with
+    coefficients and first-order derivatives."""
+    g = ctx.grading
+    f = ctx.field
+    coeffs = (f.one, f.omega(1, 2), f.x(1) * f.x(2), f.x(2) + f.lam)
+    op = ctx.zero()
+    while not op:
+        for _ in range(rng.randint(1, 3)):
+            a = rng.choice(g.colors)
+            b = rng.choice([c for c in g.colors
+                            if (g.parity(a) + g.parity(c)) % 2 == parity])
+            deriv = tuple(rng.randint(0, 1) for _ in range(ctx.N))
+            op = op + ctx.unit(rng.randint(1, ctx.N), a, b,
+                               coeff=rng.choice(coeffs), deriv=deriv)
+    assert op.parity() == parity
+    return op
+
+
+def graded_pairs(ctx, seed):
+    """Random operand pairs of every parity combination, both orders."""
+    rng = random.Random(seed)
+    for pa, pb in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for _ in range(3):
+            yield (rand_graded_operator(ctx, rng, pa),
+                   rand_graded_operator(ctx, rng, pb))
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    calls = []
+    mul = OperatorSum.mul
+
+    def counting_mul(self, other, min_deriv=None):
+        calls.append(min_deriv)
+        return mul(self, other, min_deriv)
+
+    monkeypatch.setattr(OperatorSum, "mul", counting_mul)
+    return calls
+
+
+def test_bracket_memo_serves_repeats_and_swaps(A11, A21, mul_calls):
+    for ctx in (A11, A21):
+        field = ctx.field
+        for a, b in graded_pairs(ctx, 89):
+            for cut in (None, 1):
+                fresh_ab = a.bracket(b, cut)
+                fresh_ba = b.bracket(a, cut)
+                with field.arithmetic_memo():
+                    ab = a.bracket(b, cut)
+                    del mul_calls[:]
+                    assert a.bracket(b, cut) is ab
+                    ba = b.bracket(a, cut)
+                    assert not mul_calls
+                assert ab == fresh_ab
+                assert ba == fresh_ba
+                if a.parity() and b.parity():
+                    assert ba == ab
+                else:
+                    assert ba == -ab
+
+
+def test_bracket_memo_keeps_truncated_and_full_apart(A11, A21, mul_calls):
+    for ctx in (A11, A21):
+        for a, b in graded_pairs(ctx, 97):
+            with ctx.field.arithmetic_memo():
+                full = a.bracket(b)
+                del mul_calls[:]
+                top = a.bracket(b, 1)
+                assert mul_calls == [1, 1]
+                assert top == full.filtered(1)
+                del mul_calls[:]
+                sign = 1 if a.parity() and b.parity() else -1
+                assert b.bracket(a, 1) == top.scale(sign)
+                assert not mul_calls
+                assert a.bracket(b, 2) == full.filtered(2)
+                assert mul_calls == [2, 2]
+                keys = [k for k in ctx.field._memo if k[0] == "bracket"]
+                assert len(keys) == 3
+
+
+def test_bracket_memo_pins_its_operands(A11, A21):
+    import gc
+    import weakref
+
+    class Tracked(OperatorSum):
+        __slots__ = ("__weakref__",)
+
+    for ctx in (A11, A21):
+        for a, b in graded_pairs(ctx, 101):
+            a = Tracked(ctx, dict(a.terms))
+            b = Tracked(ctx, dict(b.terms))
+            refs = (weakref.ref(a), weakref.ref(b))
+            with ctx.field.arithmetic_memo():
+                a.bracket(b)
+                del a, b
+                gc.collect()
+                assert all(r() is not None for r in refs)
+            gc.collect()
+            assert all(r() is None for r in refs)
+
+
+def test_bracket_memo_stores_nothing_outside_a_scope(A11, mul_calls):
+    for a, b in graded_pairs(A11, 103):
+        assert A11.field._memo is None
+        first = a.bracket(b)
+        second = a.bracket(b)
+        b.bracket(a)
+        assert len(mul_calls) == 6
+        assert first == second and first is not second
+        assert A11.field._memo is None
+        del mul_calls[:]

@@ -313,3 +313,50 @@ def test_oracle_rejects_a_residual_its_probes_cannot_see(ws112, monkeypatch):
     wrong = ws112.ctx.deriv(1)
     assert vf._oracle_instance(ws112, cfg, inst, wrong) == (
         False, "action verdict disagrees with the symbolic verdict")
+
+
+def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
+    from colorcs.operators import OperatorSum
+
+    def plain_bracket(self, other, min_deriv=None):
+        ab = self.mul(other, min_deriv)
+        ba = other.mul(self, min_deriv)
+        return ab + ba if self.parity() and other.parity() else ab - ba
+
+    def reports():
+        ws = ModelWorkspace(1, 1, 2)
+        out = []
+        for cid in ("eq3.17", "eq3.21", "eq3.36"):
+            d = run_one(ws, cid).as_dict()
+            d.pop("millis")
+            out.append(d)
+        return out
+
+    mul = OperatorSum.mul
+    calls = []
+
+    def counting_mul(self, other, min_deriv=None):
+        calls.append(min_deriv)
+        return mul(self, other, min_deriv)
+
+    monkeypatch.setattr(OperatorSum, "mul", counting_mul)
+    shipped = reports()
+    shared = len(calls)
+    del calls[:]
+    monkeypatch.setattr(OperatorSum, "bracket", plain_bracket)
+    assert reports() == shipped
+    # the memo served some brackets of these verdicts
+    assert shared < len(calls)
+
+
+def test_add_subtracts_a_negated_summand(ws112):
+    a = ws112.yangian_T(1, 1, 2)
+    b = ws112.hamiltonian("sutherland")
+    neg_b = vf.Scale(vf.Leaf(b), -1)
+    assert vf.Add(vf.Leaf(a), neg_b).operator() == a - b
+    # subtracted termwise: the negated copy of b is never built
+    assert neg_b._op is None
+    neg_a = vf.Scale(vf.Leaf(a), -1)
+    assert vf.Add(neg_a, vf.Leaf(b)).operator() == b - a
+    assert vf.Add(vf.Leaf(a), vf.Scale(vf.Leaf(b), Fraction(-1))).operator() \
+        == a - b
