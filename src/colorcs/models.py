@@ -163,37 +163,20 @@ class ModelWorkspace:
         return tuple(rows)
 
     @_memoized
-    def lax_power(self, kind: str, p: int):
-        """Entrywise operator power L^p of the Lax matrix (L^0 = 1)."""
+    def _row_sum(self, kind: str, p: int, i: int) -> OperatorSum:
+        """Sum over j of (L^p)_{ij}; shared by every color pair.
+
+        The row sums of L^p are the vector L^p 1, so they follow from
+        those of L^(p-1) as sum_k L_ik (row sum k of L^(p-1)), with N
+        products per entry instead of N^2 for the whole matrix power."""
         if p < 0:
             raise ValueError("matrix power must be nonnegative")
-        ctx = self.ctx
         if p == 0:
-            return tuple(
-                tuple(ctx.identity() if i == j else ctx.zero()
-                      for j in range(self.N))
-                for i in range(self.N)
-            )
-        prev = self.lax_power(kind, p - 1)
+            return self.ctx.identity()
         lax = self._lax_matrix(kind, "L")
-        rows = []
-        for i in range(self.N):
-            row = []
-            for j in range(self.N):
-                ent = ctx.zero()
-                for k in range(self.N):
-                    ent = ent + prev[i][k].mul(lax[k][j])
-                row.append(ent)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    @_memoized
-    def _row_sum(self, kind: str, p: int, i: int) -> OperatorSum:
-        """Sum over j of (L^p)_{ij}; shared by every color pair."""
-        mat = self.lax_power(kind, p)
         op = self.ctx.zero()
-        for j in range(self.N):
-            op = op + mat[i - 1][j]
+        for k in range(1, self.N + 1):
+            op = op + lax[i - 1][k - 1].mul(self._row_sum(kind, p - 1, k))
         return op
 
     # -- Yangian generators --------------------------------------------------

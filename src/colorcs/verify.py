@@ -36,7 +36,9 @@ instance that residual is lhs - rhs; on every probe state its action must
 equal the compositional action of the two sides, and it must vanish
 exactly when all those actions do.  For a leading-order instance it is
 the truncated top; the oracle forms the full lhs - rhs, checks the action
-against it, and requires its top to equal the truncated residual.
+against it, and requires its top to equal the truncated residual.  Both
+residuals subtract the right side summand by summand and add x for a
+summand Scale(x, -1), so a right side's negated leaves are never built.
 
 Why low-degree probe states suffice: write a residual in normal form
 as sum_k f_k(x) w_k d^k.  Pick a term whose derivative multi-index k*
@@ -173,6 +175,14 @@ class Bracket(Expr):
         return _state_add(left, right, self._sign())
 
 
+def _negated(expr):
+    """x for a summand Scale(x, -1), else None."""
+    if isinstance(expr, Scale) and isinstance(expr.coeff, int) \
+            and expr.coeff == -1:
+        return expr.inner
+    return None
+
+
 class Add(Expr):
     __slots__ = ("items",)
 
@@ -185,11 +195,10 @@ class Add(Expr):
         for it in self.items:
             if op is None:
                 op = it.operator()
-            elif isinstance(it, Scale) and isinstance(it.coeff, int) \
-                    and it.coeff == -1:
+            elif (inner := _negated(it)) is not None:
                 # a - b is spelled Add(a, Scale(b, -1)): subtract b termwise
                 # instead of building -b first
-                op = op - it.inner.operator()
+                op = op - inner.operator()
             else:
                 op = op + it.operator()
         return op
@@ -846,15 +855,28 @@ def residual_records(op, max_terms=200):
     return out
 
 
+def _minus_rhs(op, rhs, cut=None):
+    """op - rhs, summand by summand: a summand Scale(x, -1) adds x, so
+    the right side's negated leaves are never built.  With a cut, only
+    the rhs terms at derivative degree >= cut are subtracted."""
+    for it in rhs.items if isinstance(rhs, Add) else (rhs,):
+        inner = _negated(it)
+        part = (it if inner is None else inner).operator()
+        if cut is not None:
+            part = part.filtered(cut)
+        op = op - part if inner is None else op + part
+    return op
+
+
 def _exact_residual(inst, lam):
-    res = inst.lhs.operator() - inst.rhs.operator()
+    res = _minus_rhs(inst.lhs.operator(), inst.rhs)
     return res if lam is None else res.substitute_lambda(lam)
 
 
 def _leading_residual(inst, lam):
     if not isinstance(inst.lhs, Bracket):
         raise TypeError("leading-order instance needs a bracket on the left")
-    top = inst.lhs.top(inst.dexp) - inst.rhs.operator().filtered(inst.dexp)
+    top = _minus_rhs(inst.lhs.top(inst.dexp), inst.rhs, inst.dexp)
     return top if lam is None else top.substitute_lambda(lam)
 
 

@@ -105,6 +105,11 @@ def test_criterion_5_winf_suite():
     reports, elapsed, _ = _run(WINF, [(1, 1, 2)])
     print(f"\n[acceptance] spin-tower suite: {elapsed:.1f}s (budget 15min)")
     _assert_all_pass(reports, "spin-tower suite")
+    # three sites, with the towers cut to spin 2 and degree 0
+    reports, elapsed, cfg = _run(WINF, [(1, 1, 3)], max_spin=2, max_degree=0)
+    print(f"\n[acceptance] spin-tower suite at (1,1,3): {elapsed:.1f}s")
+    _assert_all_pass(reports, "three-site spin-tower suite")
+    assert not compare_to_manifest(reports, cli.load_manifest(), cfg)
 
 
 def test_criterion_6_double_entry_everywhere(graded_catalog):

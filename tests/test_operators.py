@@ -6,6 +6,7 @@ the graded word product, the Leibniz rule and the canonical merge to the
 concrete representation on polynomial-amplitude color states.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -428,9 +429,9 @@ def mul_calls(monkeypatch):
     calls = []
     mul = OperatorSum.mul
 
-    def counting_mul(self, other, min_deriv=None):
+    def counting_mul(self, other, min_deriv=None, **private):
         calls.append(min_deriv)
-        return mul(self, other, min_deriv)
+        return mul(self, other, min_deriv, **private)
 
     monkeypatch.setattr(OperatorSum, "mul", counting_mul)
     return calls
@@ -507,3 +508,69 @@ def test_bracket_memo_stores_nothing_outside_a_scope(A11, mul_calls):
         assert first == second and first is not second
         assert A11.field._memo is None
         del mul_calls[:]
+
+
+def multiplication_operands(ctx):
+    """Multiplication operators by a polynomial, a rational function and
+    two x-free constants."""
+    f = ctx.field
+    x2 = f.zero
+    for i in range(1, ctx.N + 1):
+        x2 = x2 + f.x(i) * f.x(i)
+    return (ctx.scalar(x2), ctx.scalar(f.omega(1, 2)),
+            ctx.scalar(Fraction(-3, 2)), ctx.scalar(f.lam))
+
+
+def spin_operand(ctx, rng, parity):
+    """A random graded operator with derivative orders up to 3 on a site,
+    so that Leibniz walks take several nonzero t."""
+    op = rand_graded_operator(ctx, rng, parity)
+    return op + op.mul(ctx.deriv(rng.randint(1, ctx.N), 2))
+
+
+def test_bracket_with_a_multiplication_operator_is_its_leibniz_tail(
+        join_contexts, mul_calls):
+    for ctx in join_contexts:
+        rng = random.Random(107)
+        for parity in (0, 1, 0, 1):
+            q = spin_operand(ctx, rng, parity)
+            for g in multiplication_operands(ctx):
+                for cut in (None, 1, 2):
+                    gq = g.mul(q, cut) - q.mul(g, cut)
+                    del mul_calls[:]
+                    assert g.bracket(q, cut) == gq
+                    assert q.bracket(g, cut) == -gq
+                    # one product per bracket, made inside ``mul``
+                    assert mul_calls == [cut, cut]
+
+
+def test_bracket_of_two_multiplication_operators_vanishes(A11, mul_calls):
+    g, h = multiplication_operands(A11)[:2]
+    assert g.bracket(h).is_zero
+    assert g.bracket(g, 1).is_zero
+    assert len(mul_calls) == 2
+
+
+def test_diagonal_operators_that_do_not_multiply_take_two_products(
+        join_contexts, mul_calls):
+    for ctx in join_contexts:
+        f = ctx.field
+        rng = random.Random(109)
+        x1 = f.x(1)
+        one_site = ctx.unit(1, 1, 1, coeff=x1)
+        unequal = ctx.scalar(x1) + ctx.unit(1, 2, 2, coeff=f.x(2))
+        terms = dict(ctx.scalar(x1).terms)
+        (word, _), coeff = terms.popitem()
+        moved = OperatorSum(ctx, {**terms, (word, (1,) + (0,) * (ctx.N - 1)):
+                                  coeff})
+        # one term per diagonal word: only the coefficient and derivative
+        # checks tell these two from a multiplication operator
+        assert len(unequal) == len(moved) == len(ctx.scalar(x1))
+        for g, parity in itertools.product((one_site, unequal, moved), (0, 1)):
+            q = spin_operand(ctx, rng, parity)
+            for cut in (None, 1):
+                want = g.mul(q, cut) - q.mul(g, cut)
+                del mul_calls[:]
+                assert g.bracket(q, cut) == want
+                assert q.bracket(g, cut) == -want
+                assert len(mul_calls) == 4

@@ -326,7 +326,7 @@ def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
     def reports():
         ws = ModelWorkspace(1, 1, 2)
         out = []
-        for cid in ("eq3.17", "eq3.21", "eq3.36"):
+        for cid in ("eq3.17", "eq3.21", "eq3.32", "eq3.36"):
             d = run_one(ws, cid).as_dict()
             d.pop("millis")
             out.append(d)
@@ -335,9 +335,9 @@ def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
     mul = OperatorSum.mul
     calls = []
 
-    def counting_mul(self, other, min_deriv=None):
+    def counting_mul(self, other, min_deriv=None, **private):
         calls.append(min_deriv)
-        return mul(self, other, min_deriv)
+        return mul(self, other, min_deriv, **private)
 
     monkeypatch.setattr(OperatorSum, "mul", counting_mul)
     shipped = reports()
@@ -360,3 +360,22 @@ def test_add_subtracts_a_negated_summand(ws112):
     assert vf.Add(neg_a, vf.Leaf(b)).operator() == b - a
     assert vf.Add(vf.Leaf(a), vf.Scale(vf.Leaf(b), Fraction(-1))).operator() \
         == a - b
+
+
+def test_residual_adds_a_negated_right_summand(ws112):
+    a = ws112.yangian_T(1, 1, 2)
+    b = ws112.yangian_T(1, 2, 1)
+    h = ws112.hamiltonian("sutherland")
+    lhs = vf.Bracket(vf.Leaf(a), vf.Leaf(h))
+    neg_b = vf.Scale(vf.Leaf(b), -1)
+    for rhs, value in ((neg_b, -b),
+                       (vf.Add(neg_b, vf.Leaf(a)), a - b),
+                       (vf.Add(vf.Leaf(a), neg_b), a - b)):
+        inst = vf.Instance("signed", lhs, rhs)
+        full = lhs.operator() - value
+        assert vf._exact_residual(inst, None) == full
+        inst.dexp = 1
+        assert vf._leading_residual(inst, None) == full.filtered(1)
+        # summand by summand: neither -b nor the right side was built
+        assert neg_b._op is None
+        assert rhs._op is None
