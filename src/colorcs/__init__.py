@@ -6,7 +6,7 @@ and checks algebraic identities (commutation relations, conserved charges,
 generator recursions) exactly, with an independent state-action oracle.
 """
 
-from ._kernel import BACKEND, available_backends
+from ._kernel import BACKEND
 from .errors import (
     CapExceededError,
     ColorCSError,
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "available_backends",
     "CapExceededError",
     "ColorCSError",
     "ContextMismatchError",

@@ -1,19 +1,16 @@
-"""Sparse integer polynomial kernels, pure-Python backend.
+"""Sparse integer polynomial kernels.
 
 A polynomial is ``dict[int, int]``: packed exponent key (see ``monomials``)
 mapping to a nonzero integer coefficient.  The zero polynomial is the empty
 dict.  Functions never mutate their inputs and never store zero coefficients.
-
-This module and the compiled twin ``_poly_cy`` export the same names with the
-same semantics; ``_kernel`` picks one at import time.  Keep the two in sync.
+Callers import these functions through ``_kernel``.
 
 ``poly_divexact`` divides by a binomial that is exactly x_u - x_v, the
 divisor the gcd's candidate trial divisions use, in one linear pass instead
 of the general long division, whose leading-term search makes it quadratic
 in the dividend.  Every other divisor, and a dividend whose x_u and x_v
-exponents could carry out of the x_v field, takes the general loop.  The
-result is the same either way, so ``_poly_cy``, which has only the general
-loop (Cython is needed to regenerate it), stays a valid twin.
+exponents could carry out of the x_v field, takes the general loop; the
+result is the same either way.
 """
 
 from __future__ import annotations
@@ -31,19 +28,6 @@ def poly_add(a, b):
     out = dict(a)
     for k, c in b.items():
         s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def poly_sub(a, b):
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) - c
         if s:
             out[k] = s
         else:
@@ -97,15 +81,6 @@ def poly_mul(a, b, shifts):
     return out
 
 
-def poly_mul_monomial(a, key: int, c: int):
-    """a * c*x^key.  key is a packed monomial, c an int."""
-    if not c or not a:
-        return {}
-    if key == 0:
-        return poly_scale(a, c)
-    return {k + key: v * c for k, v in a.items()}
-
-
 def poly_diff(a, slot: int, shifts):
     sh = shifts[slot]
     step = 1 << sh
@@ -117,7 +92,7 @@ def poly_diff(a, slot: int, shifts):
     return out
 
 
-def _lead(a, shifts):
+def poly_lead(a, shifts):
     """(key, coeff) of the graded-lex leading term.  a must be nonzero."""
     best_k = -1
     best_td = -1
@@ -129,10 +104,6 @@ def _lead(a, shifts):
             best_td = td
             best_k = k
     return best_k, a[best_k]
-
-
-def poly_lead(a, shifts):
-    return _lead(a, shifts)
 
 
 def poly_divexact(a, b, shifts):
@@ -205,12 +176,12 @@ def _divexact_binomial(a, b, sh_u, sh_v, shifts):
 
 def _divexact_general(a, b, shifts):
     """Graded-lex long division; a and b nonzero."""
-    kb, cb = _lead(b, shifts)
+    kb, cb = poly_lead(b, shifts)
     rem = dict(a)
     quo = {}
     items_b = list(b.items())
     while rem:
-        kr, cr = _lead(rem, shifts)
+        kr, cr = poly_lead(rem, shifts)
         for sh in shifts:
             if ((kb >> sh) & _MASK) > ((kr >> sh) & _MASK):
                 return None

@@ -111,7 +111,7 @@ def _parse_contexts(args, parser):
             parser.error(f"bad context {chunk!r}, expected integers")
     if not out:
         parser.error("no contexts selected")
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def _validate_contexts(contexts, parser):
@@ -225,12 +225,12 @@ def _text_report(reports, deviations, cfg):
     return "\n".join(lines) + "\n"
 
 
-def _structured_report(reports, deviations, cfg, contexts):
+def _structured_report(reports, deviations, cfg):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
         "coupling": "symbolic" if cfg.lam is None else str(cfg.lam),
-        "contexts": [list(c) for c in contexts],
+        "contexts": [list(c) for c in cfg.contexts],
         "cases": sorted(cfg.cases) if cfg.cases else sorted(case_ids()),
         "max_spin": cfg.max_spin,
         "max_degree": cfg.max_degree,
@@ -238,6 +238,26 @@ def _structured_report(reports, deviations, cfg, contexts):
         "deviations": deviations,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _run(cfg, manifest, fmt, out):
+    """Run the suite, write its report to out and return the exit code."""
+    reports = run_suite(cfg)
+    deviations = compare_to_manifest(reports, manifest, cfg)
+
+    report = _structured_report if fmt == "structured" else _text_report
+    out.write(report(reports, deviations, cfg))
+
+    truncated = sorted({r.id for r in reports if r.verdict == "truncated"})
+    if truncated:
+        print(f"term budget exceeded in: {', '.join(truncated)}",
+              file=sys.stderr)
+        return EXIT_CAP
+    if deviations:
+        print(f"{len(deviations)} deviation(s) from the expected manifest",
+              file=sys.stderr)
+        return EXIT_DEVIATION
+    return EXIT_OK
 
 
 def main(argv=None):
@@ -276,29 +296,15 @@ def main(argv=None):
         term_budget=args.term_budget,
         workers=workers, dump_residual=args.dump_residual,
     )
-    reports = run_suite(cfg)
-    deviations = compare_to_manifest(reports, manifest, cfg)
-
-    if args.format == "structured":
-        payload = _structured_report(reports, deviations, cfg, contexts)
-    else:
-        payload = _text_report(reports, deviations, cfg)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-    truncated = sorted({r.id for r in reports if r.verdict == "truncated"})
-    if truncated:
-        print(f"term budget exceeded in: {', '.join(truncated)}",
-              file=sys.stderr)
-        return EXIT_CAP
-    if deviations:
-        print(f"{len(deviations)} deviation(s) from the expected manifest",
-              file=sys.stderr)
-        return EXIT_DEVIATION
-    return EXIT_OK
+    if not args.output:
+        return _run(cfg, manifest, args.format, sys.stdout)
+    # an unwritable report path is a usage error, found before any verdict
+    try:
+        fh = open(args.output, "w")
+    except OSError as exc:
+        parser.error(f"cannot write output: {exc}")
+    with fh:
+        return _run(cfg, manifest, args.format, fh)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ again.  It peels off the cheap structure first: integer content,
 monomial content, then trial division by caller-supplied candidate
 factors (the coefficient field passes the position binomials x_i - x_j,
 which account for essentially every denominator the generator workloads
-produce; the smaller operand is tried first, and the pure kernel divides
-by x_i - x_j in one linear pass).  Whatever is left goes through a
+produce; the smaller operand is tried first, and the kernel divides by
+x_i - x_j in one linear pass).  Whatever is left goes through a
 heuristic evaluation gcd: substitute a large integer for one variable,
 recurse, rebuild the candidate by base-xi digit expansion, and verify by
 exact division, whose quotients are the cofactors.  A verified candidate

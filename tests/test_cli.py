@@ -184,6 +184,27 @@ def test_output_to_file(tmp_path, capsys, pass_manifest):
     assert doc["reports"][0]["id"] == "eq2.7"
 
 
+def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path,
+                                            pass_manifest):
+    runs = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: runs.append(cfg) or [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--cases", "eq2.7", "--n", "1", "--m", "1", "--N", "2",
+                  "--output", str(tmp_path / "missing" / "x.json"),
+                  "--manifest", pass_manifest])
+    assert exc.value.code == 2
+    assert runs == []
+
+
+def test_repeated_context_reports_once(capsys, pass_manifest):
+    rc = cli.main(["--cases", "eq2.7,eq2.10", "--contexts", "1,1,2; 1,1,2",
+                   "--format", "structured", "--manifest", pass_manifest])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["contexts"] == [[1, 1, 2]]
+    assert sorted(r["id"] for r in doc["reports"]) == ["eq2.10", "eq2.7"]
+
+
 def test_dump_residual_round_trip(capsys, tmp_path):
     manifest = _manifest(
         tmp_path, {"eq2.17-plain": {"1,1,2": {"verdict": "fail"}}})
