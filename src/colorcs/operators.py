@@ -17,8 +17,15 @@ the operand, as its parity is; that is sound because no operation mutates
 ``terms`` after construction.  Subtraction is termwise: ``a - b``
 subtracts matching coefficients and negates only the terms b alone has,
 without building ``-b`` first.  A word acts only on the basis state equal
-to its in tuple, which ``apply_to`` looks up in the state.  Printing
-orders words site by site as (a1, b1, ..., aN, bN), through
+to its in tuple: ``apply_to`` reads each state component's terms from a
+second index, by in tuple and then derivative tuple, which also holds
+each word's sign and out tuple on its in tuple; it is built on the
+operator's first action and kept the same way.  Its states are the
+oracle's exponential probes (see ``verify``): amplitudes times powers of
+formal t_1..t_N times e^(t.x), on which d^p acts as (d + t)^p, expanded
+one factor d_i + t_i at a time.  That is separate code from ``mul``'s
+Leibniz walk, and shares no helper or binomial arithmetic with it.
+Printing orders words site by site as (a1, b1, ..., aN, bN), through
 ``display_keys``.
 
 Inside the field's arithmetic memo (``ScalarField.arithmetic_memo``, one
@@ -203,23 +210,15 @@ def _leibniz(g, p, nz, cap, j=0):
                 yield (k,) + t, d
 
 
-def _diff_multi(rf, deriv):
-    for slot, k in enumerate(deriv):
-        for _ in range(k):
-            rf = rf.diff(slot)
-            if not rf:
-                return rf
-    return rf
-
-
 class OperatorSum:
-    __slots__ = ("ctx", "terms", "_par", "_by_out")
+    __slots__ = ("ctx", "terms", "_par", "_by_out", "_by_in")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         self.terms = terms
         self._par = None
         self._by_out = None
+        self._by_in = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -462,29 +461,43 @@ class OperatorSum:
     # -- actions and views -----------------------------------------------------
 
     def apply_to(self, state):
-        """Apply to {color tuple: amplitude}; returns the same shape.
+        """Apply to an exponential probe state, {(color tuple, t exponents):
+        amplitude}, standing for the sum of amplitude * t^e * e^(t.x) |c>;
+        returns the same shape.
 
-        Each term reads only the amplitude at its in tuple."""
-        grading = self.ctx.grading
+        A term f w d^p acts on a component at its in tuple, and d^p acts
+        on e^(t.x) A as e^(t.x) (d + t)^p A, which is expanded one factor
+        d_i + t_i at a time, once per component and p (``_shift_power``)."""
+        by_in = self._in_index()
+        t0 = self.ctx.zero_deriv
         out = {}
-        for (w, p), f in self.terms.items():
-            amp = state.get(w[1])
-            if not amp:
+        for (c, e), amp in state.items():
+            groups = by_in.get(c)
+            if groups is None or not amp:
                 continue
-            damp = _diff_multi(amp, p)
-            if not damp:
-                continue
-            sgn, new_st = full_word_act(grading, w)
-            val = f * damp
-            if sgn < 0:
-                val = -val
-            prev = out.get(new_st)
-            tot = val if prev is None else prev + val
-            if tot:
-                out[new_st] = tot
-            elif prev is not None:
-                del out[new_st]
+            powers = {t0: {t0: amp}}
+            for p, terms in groups.items():
+                expanded = _shift_power(powers, p)
+                for negative, new_st, f in terms:
+                    for d, a in expanded.items():
+                        key = (new_st, tuple(x + y for x, y in zip(e, d)))
+                        _bump(out, key, f * a, negative)
         return out
+
+    def _in_index(self):
+        """{in tuple: {p: [(sign < 0, out tuple, coeff), ...]}} over this
+        operator's terms, with each word's action on its in tuple; built
+        on the operator's first action and kept, as ``_by_out`` is."""
+        idx = self._by_in
+        if idx is None:
+            grading = self.ctx.grading
+            idx = {}
+            for (w, p), f in self.terms.items():
+                sgn, new_st = full_word_act(grading, w)
+                idx.setdefault(w[1], {}).setdefault(p, []).append(
+                    (sgn < 0, new_st, f))
+            self._by_in = idx
+        return idx
 
     def leading_by_deriv(self):
         """(degree, top part): terms of maximal total derivative order."""
@@ -598,3 +611,34 @@ def _acc_add(acc, key, val, sign, budget):
         else:
             del acc[key]
 
+
+def _shift_power(powers, p):
+    """(d + t)^p applied to a component's amplitude, as {t exponents:
+    amplitude}; ``powers`` holds the powers already expanded for this
+    component, and p extends p - 1_i by one factor d_i + t_i for its last
+    nonzero slot i."""
+    got = powers.get(p)
+    if got is None:
+        i = max(k for k, pk in enumerate(p) if pk)
+        prev = _shift_power(powers, p[:i] + (p[i] - 1,) + p[i + 1:])
+        got = {}
+        for d, a in prev.items():
+            da = a.diff(i)
+            if da:
+                _bump(got, d, da, False)
+            _bump(got, d[:i] + (d[i] + 1,) + d[i + 1:], a, False)
+        powers[p] = got
+    return got
+
+
+def _bump(state, key, val, subtract):
+    """Add val into state[key], or subtract it; a zero sum is dropped."""
+    prev = state.get(key)
+    if prev is None:
+        state[key] = -val if subtract else val
+    else:
+        tot = prev - val if subtract else prev + val
+        if tot:
+            state[key] = tot
+        else:
+            del state[key]

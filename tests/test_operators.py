@@ -262,17 +262,20 @@ def rand_operator(ctx, rng, depth=0):
 
 
 def rand_state(ctx, rng, nterms=2):
+    """A probe-shaped state {(colors, t exponents): amplitude} with
+    random monomial amplitudes and random powers of t."""
     f = ctx.field
     st = {}
     for _ in range(nterms):
         colors = tuple(
             rng.choice(ctx.grading.colors) for _ in range(ctx.N)
         )
+        t = tuple(rng.randint(0, 2) for _ in range(ctx.N))
         amp = f.monomial(
             {i: rng.randint(0, 2) for i in range(ctx.N)},
             rng.randint(1, 3),
         )
-        st[colors] = st.get(colors, f.zero) + amp
+        st[colors, t] = st.get((colors, t), f.zero) + amp
     return {k: v for k, v in st.items() if v}
 
 
@@ -307,12 +310,15 @@ def test_associativity_random(join_contexts):
 
 def test_apply_matches_unit_action(A11):
     f = A11.field
-    st = {(1, 1): f.one, (2, 1): f.x(1)}
+    t0 = (0, 0)
+    st = {((1, 1), t0): f.one, ((2, 1), (0, 1)): f.x(1)}
     got = A11.unit(2, 2, 1).apply_to(st)
     # e(2,2,1): site 2 color 1 -> 2; Koszul minus when site 1 holds color 2
-    assert got == {(1, 2): f.one, (2, 2): -f.x(1)}
-    got = A11.deriv(1).apply_to({(1, 1): f.x(1) * f.x(1)})
-    assert got == {(1, 1): f.x(1) * 2}
+    assert got == {((1, 2), t0): f.one, ((2, 2), (0, 1)): -f.x(1)}
+    # on e^(t.x) x1^2, d1 acts as d1 + t1
+    got = A11.deriv(1).apply_to({((1, 1), t0): f.x(1) * f.x(1)})
+    assert got == {((1, 1), t0): f.x(1) * 2,
+                   ((1, 1), (1, 0)): f.x(1) * f.x(1)}
 
 
 def test_display_order_reads_words_site_by_site(A11):
@@ -371,6 +377,25 @@ def test_join_index_is_built_once_per_right_operand(A11, A21):
             assert p1 == a1.mul(fresh)
             assert p2 == a2.mul(OperatorSum(ctx, dict(b.terms)), min_deriv=1)
             assert fresh._by_out == idx
+
+
+def test_action_index_is_built_once_per_operator(A11, A21):
+    rng = random.Random(89)
+    for ctx in (A11, A21):
+        for _ in range(10):
+            a = rand_operator(ctx, rng, depth=1)
+            if not a:
+                continue
+            before = _snapshot(a)
+            s1 = rand_state(ctx, rng)
+            s2 = rand_state(ctx, rng)
+            got = a.apply_to(s1)
+            idx = a._by_in
+            assert idx is not None
+            assert a.apply_to(s2) == OperatorSum(ctx, dict(a.terms)).apply_to(s2)
+            assert a._by_in is idx
+            assert a.apply_to(s1) == got
+            assert _snapshot(a) == before
 
 
 def test_operations_never_mutate_operand_terms(A11, A21):

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -32,15 +31,17 @@ def test_catalog_names_and_suites():
         assert probe in ids
 
 
-def test_probe_states_cover_low_degrees(ws112):
-    states = list(vf._probe_states(ws112, 2))
-    # all monomials of total degree <= 2, for each of the 4 color states
-    assert len(states) == math.comb(2 + 2, 2) * 4
+def test_probe_states_are_one_per_basis_state(ws112):
+    states = list(vf._probe_states(ws112))
+    # one exponential probe e^(t.x)|c> for each of the 4 color states
+    assert len(states) == 4
+    one = ws112.ctx.field.one
     seen = set()
     for psi in states:
-        (colors, amp), = psi.items()
-        seen.add((colors, str(amp)))
-    assert len(seen) == len(states)
+        ((colors, t), amp), = psi.items()
+        assert t == (0, 0) and amp is one
+        seen.add(colors)
+    assert seen == set(ws112.ctx.grading.basis_states())
 
 
 def test_expr_bracket_matches_operator_bracket(ws112):
@@ -60,9 +61,10 @@ def test_expr_apply_matches_collapsed_operator(ws112):
                    vf.Leaf(ws112.yangian_T(0, 2, 1))),
         vf.Scale(vf.Leaf(ws112.hamiltonian("sutherland")), Fraction(1, 3)),
     )
-    psi = {(1, 2): f.monomial({0: 1, 1: 2})}
+    psi = {((1, 2), (0, 1)): f.monomial({0: 1, 1: 2})}
     via_tree = expr.apply(psi)
     via_op = expr.operator().apply_to(psi)
+    assert not vf._state_is_zero(via_op)
     assert vf._state_is_zero(vf._state_add(via_tree, via_op, -1))
 
 
@@ -75,7 +77,7 @@ def test_nested_bracket_apply_never_multiplies(ws112, monkeypatch):
     inner = vf.Bracket(vf.Leaf(ws112.yangian_T(1, 1, 2)),
                        vf.Leaf(ws112.yangian_T(1, 2, 1)))
     outer = vf.Bracket(vf.Leaf(ws112.yangian_T(0, 1, 1)), inner)
-    psi = {(1, 2): ws112.ctx.field.one}
+    psi = {((1, 2), (0, 0)): ws112.ctx.field.one}
     monkeypatch.setattr(OperatorSum, "mul", boom)
     outer.apply(psi)
 
@@ -306,13 +308,65 @@ def test_oracle_rejects_a_wrong_truncated_residual(ws112):
 
 
 def test_oracle_rejects_a_residual_its_probes_cannot_see(ws112, monkeypatch):
-    # constant probes are annihilated by a first-order residual, so the
-    # action path agrees with it and only the verdict comparison can fire
+    # with the probe of state (1, 1) left out, a residual acting only on
+    # that state agrees with the action path on every probe, so only the
+    # verdict comparison can fire
     cfg, inst = _instance(ws112, "eq2.7", "i=1 abcd=1221")
-    monkeypatch.setattr(vf, "_probe_degree", lambda ws, lhs, rhs: (0, ""))
-    wrong = ws112.ctx.deriv(1)
+    probes = vf._probe_states
+    monkeypatch.setattr(vf, "_probe_states", lambda ws: [
+        psi for psi in probes(ws) if ((1, 1), (0, 0)) not in psi])
+    wrong = ws112.ctx.from_units([(1, 1, 1), (2, 1, 1)], deriv=(1, 0))
     assert vf._oracle_instance(ws112, cfg, inst, wrong) == (
         False, "action verdict disagrees with the symbolic verdict")
+
+
+def test_oracle_sees_a_residual_of_any_degree(ws112):
+    # the exponential probes have no degree bound: d1^7 reaches the
+    # action-vs-product check, which a degree-1 monomial probe would miss
+    cfg, inst = _instance(ws112, "eq2.7", "i=1 abcd=1221")
+    wrong = ws112.ctx.deriv(1, 7)
+    assert vf._oracle_instance(ws112, cfg, inst, wrong) == (
+        False, "action path disagrees with the product path")
+
+
+@pytest.mark.parametrize("case_id", ["eq3.36", "eq3.15"])
+def test_oracle_catches_a_product_that_drops_its_top_degree(
+        case_id, monkeypatch):
+    from colorcs.operators import OperatorSum
+
+    ws = ModelWorkspace(1, 1, 2)
+    cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=1)
+
+    def residual(inst):
+        if inst.dexp is None:
+            return vf._exact_residual(inst, cfg.lam)
+        return vf._leading_residual(inst, cfg.lam)
+
+    # the leaves are built and cached by the honest product; the
+    # expression nodes above them are built afresh under the mutation
+    truth = [residual(inst)
+             for inst in vf.CASES[case_id].instances(ws, cfg)]
+    fresh = list(vf.CASES[case_id].instances(ws, cfg))
+    mul = OperatorSum.mul
+
+    def dropping_mul(self, other, min_deriv=None, **private):
+        out = mul(self, other, min_deriv, **private)
+        top = out.max_deriv_degree()
+        if top < 2:
+            return out
+        return OperatorSum(out.ctx, {k: f for k, f in out.terms.items()
+                                     if sum(k[1]) < top})
+
+    monkeypatch.setattr(OperatorSum, "mul", dropping_mul)
+    changed = 0
+    for inst, right in zip(fresh, truth):
+        wrong = residual(inst)
+        if wrong == right:
+            continue
+        changed += 1
+        agrees, _ = vf._oracle_instance(ws, cfg, inst, wrong)
+        assert not agrees, inst.label
+    assert changed > 0
 
 
 def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
