@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -45,14 +44,10 @@ def _build_parser():
         description="verify the operator identities of the graded "
                     "Calogero-Sutherland models",
     )
-    ctx = p.add_argument_group("context selection")
-    ctx.add_argument("--n", type=int, help="number of even colors")
-    ctx.add_argument("--m", type=int, help="number of odd colors")
-    ctx.add_argument("--N", type=int, help="number of sites")
-    ctx.add_argument(
-        "--contexts", default=None,
-        help="semicolon-separated n,m,N triples, or 'default' for "
-             "2,0,2;1,1,2;2,1,2;1,1,3 (ignored when --n/--m/--N are given)")
+    p.add_argument(
+        "--contexts", default="default",
+        help="semicolon-separated n,m,N triples (even colors, odd colors, "
+             "sites), or 'default' for 2,0,2;1,1,2;2,1,2;1,1,3")
 
     run = p.add_argument_group("run selection")
     run.add_argument("--cases", default="all",
@@ -69,9 +64,8 @@ def _build_parser():
                      help="degree cap for the higher-spin cases (>= 0)")
     run.add_argument("--term-budget", type=int, default=None,
                      help="abort any product growing past this many terms")
-    run.add_argument("--workers", type=int, default=None,
-                     help="context-parallel worker count "
-                          "(default $COLORCS_WORKERS or 1)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="context-parallel worker count")
 
     out = p.add_argument_group("output")
     out.add_argument("--format", choices=("text", "structured"),
@@ -85,17 +79,17 @@ def _build_parser():
                           "(default: the packaged one)")
     out.add_argument("--print-operator", metavar="NAME", default=None,
                      help="print a named operator (e.g. 'H_s', 'T[1,1,2]') "
-                          "at --n/--m/--N and exit")
+                          "at the one context --contexts names, and exit")
     return p
 
 
 def _parse_contexts(args, parser):
-    explicit = [v is not None for v in (args.n, args.m, args.N)]
-    if any(explicit):
-        if not all(explicit):
-            parser.error("--n, --m and --N must be given together")
-        return ((args.n, args.m, args.N),)
-    if args.contexts is None or args.contexts == "default":
+    """The validated, deduplicated contexts --contexts names; with
+    --print-operator it must name exactly one."""
+    single = args.print_operator is not None
+    if args.contexts == "default":
+        if single:
+            parser.error("--print-operator needs --contexts with one n,m,N")
         return DEFAULT_CONTEXTS
     out = []
     for chunk in args.contexts.split(";"):
@@ -111,15 +105,15 @@ def _parse_contexts(args, parser):
             parser.error(f"bad context {chunk!r}, expected integers")
     if not out:
         parser.error("no contexts selected")
-    return tuple(dict.fromkeys(out))
-
-
-def _validate_contexts(contexts, parser):
-    for n, m, N in contexts:
+    for n, m, N in out:
         if n < 0 or m < 0 or n + m < 1:
             parser.error(f"invalid colors n={n}, m={m}: need n+m >= 1")
         if N < 1:
             parser.error(f"invalid site count N={N}")
+    out = tuple(dict.fromkeys(out))
+    if single and len(out) != 1:
+        parser.error(f"--print-operator takes one context, got {len(out)}")
+    return out
 
 
 def _parse_cases(arg, parser):
@@ -146,18 +140,6 @@ def _parse_lambda(arg, parser):
                      f"'symbolic'")
 
 
-def _workers(args, parser):
-    if args.workers is None:
-        raw = os.environ.get("COLORCS_WORKERS", "1")
-        try:
-            args.workers = int(raw)
-        except ValueError:
-            parser.error(f"bad COLORCS_WORKERS value {raw!r}")
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    return args.workers
-
-
 def load_manifest(path=None):
     if path is None:
         ref = resources.files("colorcs").joinpath(
@@ -167,11 +149,8 @@ def load_manifest(path=None):
         return json.load(fh)
 
 
-def _print_operator(args, parser):
-    if args.n is None or args.m is None or args.N is None:
-        parser.error("--print-operator needs --n, --m and --N")
-    _validate_contexts(((args.n, args.m, args.N),), parser)
-    ws = ModelWorkspace(args.n, args.m, args.N)
+def _print_operator(args, context, parser):
+    ws = ModelWorkspace(*context)
     try:
         with ws.ctx.field.arithmetic_memo():
             op = ws.build(args.print_operator)
@@ -270,14 +249,14 @@ def main(argv=None):
             print(f"{cid:<18} {case.suite:<14} {case.title}")
         return EXIT_OK
 
-    if args.print_operator is not None:
-        return _print_operator(args, parser)
-
     contexts = _parse_contexts(args, parser)
-    _validate_contexts(contexts, parser)
+    if args.print_operator is not None:
+        return _print_operator(args, contexts[0], parser)
+
     cases = _parse_cases(args.cases, parser)
     lam = _parse_lambda(args.lam, parser)
-    workers = _workers(args, parser)
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     if args.max_spin < 1:
         parser.error("--max-spin must be >= 1")
     if args.max_degree < 0:
@@ -294,7 +273,7 @@ def main(argv=None):
         contexts=contexts, cases=cases, lam=lam, seed=args.seed,
         max_spin=args.max_spin, max_degree=args.max_degree,
         term_budget=args.term_budget,
-        workers=workers, dump_residual=args.dump_residual,
+        workers=args.workers, dump_residual=args.dump_residual,
     )
     if not args.output:
         return _run(cfg, manifest, args.format, sys.stdout)

@@ -49,10 +49,6 @@ def total_degree(key: int, shifts) -> int:
     return td
 
 
-def exponent(key: int, slot: int, shifts) -> int:
-    return (key >> shifts[slot]) & _MASK
-
-
 def grlex_key(key: int, shifts) -> tuple[int, int]:
     """Sort key for graded lexicographic order (total degree, then lex)."""
     return (total_degree(key, shifts), key)

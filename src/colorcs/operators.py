@@ -70,7 +70,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
 
 from .color import (
     GradingContext,
@@ -84,7 +83,6 @@ from .errors import (
     CapExceededError,
     ContextMismatchError,
     MixedParityError,
-    PoleError,
 )
 from .scalar import RationalFunction, ScalarField
 
@@ -319,34 +317,7 @@ class OperatorSum:
             out[k] = f * g
         return OperatorSum(self.ctx, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise PoleError("division by zero")
-            return self.scale(Fraction(1, 1) / Fraction(other))
-        if isinstance(other, RationalFunction):
-            return self.scale(other.field.one / other)
-        return NotImplemented
-
     # -- multiplication ------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # constants commute with derivatives
-            return self.scale(other)
-        if isinstance(other, RationalFunction):
-            c = other.constant_value()
-            if c is not None:
-                return self.scale(c)
-            return self.mul(self.ctx.scalar(other))
-        if isinstance(other, OperatorSum):
-            return self.mul(other)
-        return NotImplemented
 
     def mul(self, other, min_deriv=None, _tail=0):
         """Product, optionally dropping result terms below a total
@@ -499,14 +470,6 @@ class OperatorSum:
             self._by_in = idx
         return idx
 
-    def leading_by_deriv(self):
-        """(degree, top part): terms of maximal total derivative order."""
-        d = self.max_deriv_degree()
-        if d < 0:
-            return -1, self
-        top = {k: f for k, f in self.terms.items() if sum(k[1]) == d}
-        return d, OperatorSum(self.ctx, top)
-
     def filtered(self, min_deriv=0):
         keep = {k: f for k, f in self.terms.items() if sum(k[1]) >= min_deriv}
         return OperatorSum(self.ctx, keep)
@@ -544,16 +507,8 @@ class OperatorSum:
             q = [0] * ctx.N
             for s in range(ctx.N):
                 q[sigma[s]] = p[s]
-            g = f.permute(sigma)
-            if sign < 0:
-                g = -g
-            key = ((out_st, in_st), tuple(q))
-            prev = out.get(key)
-            tot = g if prev is None else prev + g
-            if tot:
-                out[key] = tot
-            elif prev is not None:
-                del out[key]
+            _acc_add(out, ((out_st, in_st), tuple(q)), f.permute(sigma),
+                     sign, None)
         return OperatorSum(ctx, out)
 
     # -- formatting ---------------------------------------------------------

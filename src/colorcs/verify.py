@@ -66,7 +66,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import CapExceededError
 from .models import RATIONAL, TRIG, ModelWorkspace
-from .operators import OperatorSum, term_budget
+from .operators import OperatorSum, _bump, term_budget
 
 DEFAULT_SEED = 20257
 DEFAULT_CONTEXTS = ((2, 0, 2), (1, 1, 2), (2, 1, 2), (1, 1, 3))
@@ -239,14 +239,9 @@ class Scale(Expr):
 
 def _state_add(s1, s2, sign: int):
     out = dict(s1)
+    subtract = sign < 0
     for st, amp in s2.items():
-        cur = out.get(st)
-        v = (cur + amp if sign > 0 else cur - amp) if cur is not None \
-            else (amp if sign > 0 else -amp)
-        if v:
-            out[st] = v
-        elif cur is not None:
-            del out[st]
+        _bump(out, st, amp, subtract)
     return out
 
 

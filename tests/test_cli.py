@@ -1,10 +1,14 @@
 import json
+import os
+import shlex
 
 import pytest
 
 from colorcs import cli
 from colorcs.models import ModelWorkspace
 from colorcs.verify import DEFAULT_SEED, case_ids
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -39,13 +43,7 @@ def test_list_cases(capsys):
 
 def test_rejects_zero_color_context():
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--n", "0", "--m", "0", "--N", "2"])
-    assert exc.value.code == 2
-
-
-def test_rejects_partial_context():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--n", "1", "--cases", "eq2.7"])
+        cli.main(["--contexts", "0,0,2"])
     assert exc.value.code == 2
 
 
@@ -57,39 +55,63 @@ def test_rejects_malformed_contexts_string():
 
 def test_rejects_unknown_case():
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--cases", "eq0.0", "--n", "1", "--m", "1", "--N", "2"])
+        cli.main(["--cases", "eq0.0", "--contexts", "1,1,2"])
     assert exc.value.code == 2
 
 
 def test_rejects_bad_coupling():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--lambda", "pi", "--cases", "eq2.7",
-                  "--n", "1", "--m", "1", "--N", "2"])
+                  "--contexts", "1,1,2"])
     assert exc.value.code == 2
-
-
-def test_rejects_bad_worker_env(monkeypatch, pass_manifest):
-    monkeypatch.setenv("COLORCS_WORKERS", "lots")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--cases", "eq2.7", "--n", "1", "--m", "1", "--N", "2",
-                  "--manifest", pass_manifest])
-    assert exc.value.code == 2
-
-
-def test_worker_env_override(monkeypatch, capsys, pass_manifest):
-    monkeypatch.setenv("COLORCS_WORKERS", "2")
-    rc = cli.main(["--cases", "eq2.7", "--n", "1", "--m", "1", "--N", "2",
-                   "--manifest", pass_manifest])
-    assert rc == 0
-    assert "all verdicts match" in capsys.readouterr().out
 
 
 def test_print_operator(capsys):
     rc = cli.main(["--print-operator", "T[1,1,2]",
-                   "--n", "1", "--m", "1", "--N", "2"])
+                   "--contexts", "1,1,2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "e(1," in out and "D1" in out
+    ws = ModelWorkspace(1, 1, 2)
+    with ws.ctx.field.arithmetic_memo():
+        assert out == ws.build("T[1,1,2]").to_str() + "\n"
+
+
+@pytest.mark.parametrize("contexts", [None, "default", "1,1,2;2,0,2"])
+def test_print_operator_needs_exactly_one_context(contexts, capsys):
+    argv = ["--print-operator", "T[1,1,2]"]
+    if contexts is not None:
+        argv += ["--contexts", contexts]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--print-operator" in capsys.readouterr().err
+
+
+def test_rejects_zero_workers(monkeypatch, pass_manifest):
+    runs = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: runs.append(cfg) or [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--cases", "eq2.7", "--contexts", "1,1,2", "--workers", "0",
+                  "--manifest", pass_manifest])
+    assert exc.value.code == 2
+    assert runs == []
+
+
+def test_readme_command_lines_parse():
+    # every `colorcs ...` line in the code blocks of "## Command line"
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in section.split("```")[1::2]
+                for line in block.splitlines() if line.startswith("colorcs")]
+    assert len(commands) >= 5
+    parser = cli._build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert cli._parse_contexts(args, parser)
+        cli._parse_cases(args.cases, parser)
 
 
 def test_print_operator_builds_inside_the_arithmetic_memo(monkeypatch, capsys):
@@ -102,22 +124,22 @@ def test_print_operator_builds_inside_the_arithmetic_memo(monkeypatch, capsys):
 
     monkeypatch.setattr(ModelWorkspace, "build", spy)
     assert cli.main(["--print-operator", "T[1,1,2]",
-                     "--n", "1", "--m", "1", "--N", "2"]) == 0
+                     "--contexts", "1,1,2"]) == 0
     assert memo_open == [True]
 
 
 def test_print_operator_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--print-operator", "Z[9]",
-                  "--n", "1", "--m", "1", "--N", "2"])
+                  "--contexts", "1,1,2"])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == "colorcs: error: unknown operator name 'Z'"
 
 
 def test_pass_run_text(capsys, pass_manifest):
-    rc = cli.main(["--cases", "eq2.7,eq2.10", "--n", "1", "--m", "1",
-                   "--N", "2", "--manifest", pass_manifest])
+    rc = cli.main(["--cases", "eq2.7,eq2.10", "--contexts", "1,1,2",
+                   "--manifest", pass_manifest])
     assert rc == 0
     out = capsys.readouterr().out
     assert "all verdicts match" in out
@@ -126,7 +148,7 @@ def test_pass_run_text(capsys, pass_manifest):
 
 def test_verdict_deviation_exits_one(capsys, tmp_path):
     manifest = _manifest(tmp_path, {"eq2.7": {"1,1,2": {"verdict": "fail"}}})
-    rc = cli.main(["--cases", "eq2.7", "--n", "1", "--m", "1", "--N", "2",
+    rc = cli.main(["--cases", "eq2.7", "--contexts", "1,1,2",
                    "--manifest", manifest])
     assert rc == 1
     captured = capsys.readouterr()
@@ -136,7 +158,7 @@ def test_verdict_deviation_exits_one(capsys, tmp_path):
 
 
 def test_term_budget_exit_takes_precedence(capsys, pass_manifest):
-    rc = cli.main(["--cases", "eq3.5", "--n", "1", "--m", "1", "--N", "2",
+    rc = cli.main(["--cases", "eq3.5", "--contexts", "1,1,2",
                    "--term-budget", "3", "--manifest", pass_manifest])
     assert rc == 3
     captured = capsys.readouterr()
@@ -145,7 +167,7 @@ def test_term_budget_exit_takes_precedence(capsys, pass_manifest):
 
 
 def test_structured_output_deterministic(capsys, pass_manifest):
-    argv = ["--cases", "eq2.7", "--n", "1", "--m", "1", "--N", "2",
+    argv = ["--cases", "eq2.7", "--contexts", "1,1,2",
             "--format", "structured", "--manifest", pass_manifest]
     assert cli.main(argv) == 0
     first = json.loads(capsys.readouterr().out)
@@ -175,7 +197,7 @@ def test_structured_report_fields(capsys, pass_manifest):
 
 def test_output_to_file(tmp_path, capsys, pass_manifest):
     target = tmp_path / "report.json"
-    rc = cli.main(["--cases", "eq2.7", "--n", "1", "--m", "1", "--N", "2",
+    rc = cli.main(["--cases", "eq2.7", "--contexts", "1,1,2",
                    "--format", "structured", "--output", str(target),
                    "--manifest", pass_manifest])
     assert rc == 0
@@ -189,7 +211,7 @@ def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path,
     runs = []
     monkeypatch.setattr(cli, "run_suite", lambda cfg: runs.append(cfg) or [])
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--cases", "eq2.7", "--n", "1", "--m", "1", "--N", "2",
+        cli.main(["--cases", "eq2.7", "--contexts", "1,1,2",
                   "--output", str(tmp_path / "missing" / "x.json"),
                   "--manifest", pass_manifest])
     assert exc.value.code == 2
@@ -208,8 +230,8 @@ def test_repeated_context_reports_once(capsys, pass_manifest):
 def test_dump_residual_round_trip(capsys, tmp_path):
     manifest = _manifest(
         tmp_path, {"eq2.17-plain": {"1,1,2": {"verdict": "fail"}}})
-    rc = cli.main(["--cases", "eq2.17-plain", "--n", "1", "--m", "1",
-                   "--N", "2", "--dump-residual", "--format", "structured",
+    rc = cli.main(["--cases", "eq2.17-plain", "--contexts", "1,1,2",
+                   "--dump-residual", "--format", "structured",
                    "--manifest", manifest])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
@@ -226,7 +248,7 @@ def test_numeric_coupling_skips_count_comparison(capsys, tmp_path):
         tmp_path,
         {"eq2.7": {"1,1,2": {"verdict": "pass",
                              "residual_term_count": 999}}})
-    rc = cli.main(["--cases", "eq2.7", "--n", "1", "--m", "1", "--N", "2",
+    rc = cli.main(["--cases", "eq2.7", "--contexts", "1,1,2",
                    "--lambda", "3/2", "--manifest", manifest])
     assert rc == 0
     assert "all verdicts match" in capsys.readouterr().out

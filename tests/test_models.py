@@ -243,12 +243,13 @@ def test_spin_three_prefactor(ws112):
 def test_spin_leading_symbol(ws112):
     ws = ws112
     for s, p in ((1, 2), (2, 1), (3, 0), (2, 2)):
-        deg, top = ws.w_gen(s, p).leading_by_deriv()
-        assert deg == p + s - 1
-        assert top == ws.w_leading(s, p)
-        deg, top = ws.q_gen(s, p, 1, 2).leading_by_deriv()
-        assert deg == p + s - 1
-        assert top == ws.q_leading(s, p, 1, 2)
+        top = p + s - 1
+        w = ws.w_gen(s, p)
+        assert w.max_deriv_degree() == top
+        assert w.filtered(top) == ws.w_leading(s, p)
+        q = ws.q_gen(s, p, 1, 2)
+        assert q.max_deriv_degree() == top
+        assert q.filtered(top) == ws.q_leading(s, p, 1, 2)
 
 
 def test_free_generator_bracket_closes(ws112):

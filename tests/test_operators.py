@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from colorcs.errors import CapExceededError, MixedParityError, PoleError
+from colorcs.errors import CapExceededError, MixedParityError
 from colorcs.operators import AlgebraContext, OperatorSum, term_budget
 from colorcs.scalar import RationalFunction
 
@@ -45,7 +45,7 @@ def test_unit_bracket_relation(A21):
                         rhs = rhs + A21.unit(1, a, d)
                     if a == d:
                         sgn = -1 if eta(g, a, b, c, d) % 2 else 1
-                        rhs = rhs - A21.unit(1, c, b) * sgn
+                        rhs = rhs - A21.unit(1, c, b).scale(sgn)
                     assert lhs == rhs, (a, b, c, d)
 
 
@@ -143,14 +143,6 @@ def test_substitute_lambda(A11):
     got = op.substitute_lambda(Fraction(1, 2))
     expect = A11.deriv(1).scale(Fraction(1, 2)) + A11.coord(1)
     assert got == expect
-
-
-def test_division_by_zero_is_a_pole(A11):
-    op = A11.deriv(1) + A11.coord(2)
-    for zero in (0, Fraction(0), A11.field.zero):
-        with pytest.raises(PoleError):
-            op / zero
-    assert op / 2 == op.scale(Fraction(1, 2))
 
 
 def test_term_budget_caps_products(A11):
