@@ -25,7 +25,6 @@ from .verify import (
     DEFAULT_CONTEXTS,
     DEFAULT_SEED,
     RunConfig,
-    case_ids,
     compare_to_manifest,
     run_suite,
 )
@@ -41,6 +40,7 @@ EXIT_CAP = 3
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="colorcs",
+        allow_abbrev=False,
         description="verify the operator identities of the graded "
                     "Calogero-Sutherland models",
     )
@@ -121,8 +121,7 @@ def _parse_cases(arg, parser):
         return None
     picked = tuple(dict.fromkeys(
         c.strip() for c in arg.split(",") if c.strip()))
-    known = set(case_ids())
-    bad = [c for c in picked if c not in known]
+    bad = [c for c in picked if c not in CASES]
     if bad:
         parser.error(f"unknown case ids: {', '.join(bad)}")
     if not picked:
@@ -210,7 +209,7 @@ def _structured_report(reports, deviations, cfg):
         "seed": cfg.seed,
         "coupling": "symbolic" if cfg.lam is None else str(cfg.lam),
         "contexts": [list(c) for c in cfg.contexts],
-        "cases": sorted(cfg.cases) if cfg.cases else sorted(case_ids()),
+        "cases": sorted(cfg.cases) if cfg.cases else sorted(CASES),
         "max_spin": cfg.max_spin,
         "max_degree": cfg.max_degree,
         "reports": [r.as_dict() for r in reports],
@@ -244,7 +243,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.list_cases:
-        for cid in sorted(case_ids()):
+        for cid in sorted(CASES):
             case = CASES[cid]
             print(f"{cid:<18} {case.suite:<14} {case.title}")
         return EXIT_OK

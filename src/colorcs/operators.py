@@ -492,25 +492,6 @@ class OperatorSum:
                 out[k] = g
         return OperatorSum(self.ctx, out)
 
-    def swap_sites(self, i: int, j: int):
-        """Relabel sites i and j in words, derivatives and coefficients."""
-        ctx = self.ctx
-        sigma = ctx.field.transposition(i, j)
-        grading = ctx.grading
-        out = {}
-        for (w, p), f in self.terms.items():
-            units = [
-                (sigma[s] + 1, a, b) for s, (a, b) in enumerate(zip(*w))
-            ]
-            sign, word = word_from_units(grading, units)
-            _, out_st, in_st = zip(*word.units)
-            q = [0] * ctx.N
-            for s in range(ctx.N):
-                q[sigma[s]] = p[s]
-            _acc_add(out, ((out_st, in_st), tuple(q)), f.permute(sigma),
-                     sign, None)
-        return OperatorSum(ctx, out)
-
     # -- formatting ---------------------------------------------------------
 
     def display_keys(self):

@@ -37,6 +37,16 @@ the memo on exit.  The same scope also carries the operator layer's
 bracket entries, under a ``"bracket"`` tag no coefficient key uses; what
 they share and what they pin is stated in ``operators``.
 
+The gcd tries exact division by ``ScalarField.candidates`` before its
+heuristic path (see ``gcdtools``).  The candidates are the C(N, 2)
+position binomials x_i - x_j, i < j, because every denominator the model
+builders produce is content times a monomial times a product of them.
+Binomials in the spectral slots x and y are not candidates: over the
+whole default catalog not one of their trial divisions succeeded.  The
+list decides cost, not results: a shared factor outside it still
+cancels through the heuristic gcd, so the canonical form is the same
+whatever the list holds.
+
 Two kinds of request skip the memo, because their answer needs no
 arithmetic: a product with the unit returns the other factor, and the
 difference of equal functions returns ``field.zero``.  The unit test is
@@ -133,15 +143,11 @@ class ScalarField:
         self._one_p = {0: 1}
         self.one = RationalFunction(self, {0: 1}, self._one_p)
         self.zero = RationalFunction(self, {}, self._one_p)
-        # binomials u - v over the position-like slots; these knock out the
-        # denominators the model builders actually produce
-        pos = list(range(N)) + [self.slot_x, self.slot_y]
-        cands = []
-        for ia in range(len(pos)):
-            for ib in range(ia + 1, len(pos)):
-                sa, sb = pos[ia], pos[ib]
-                cands.append({1 << self.shifts[sa]: 1, 1 << self.shifts[sb]: -1})
-        self.candidates = tuple(cands)
+        # x_i - x_j for i < j, the gcd's trial divisors (module docstring)
+        self.candidates = tuple(
+            {1 << self.shifts[i]: 1, 1 << self.shifts[j]: -1}
+            for i in range(N) for j in range(i + 1, N)
+        )
         self._memo = None
 
     def __repr__(self):
@@ -265,12 +271,6 @@ class ScalarField:
         den = {1 << self.shifts[i - 1]: 1, 1 << self.shifts[j - 1]: -1}
         return self.frac(num, den)
 
-    def transposition(self, i: int, j: int):
-        """0-based sigma tuple swapping 1-based sites i and j."""
-        sigma = list(range(self.N))
-        sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
-        return tuple(sigma)
-
 
 class RationalFunction:
     __slots__ = ("field", "num", "den", "_h")
@@ -290,24 +290,14 @@ class RationalFunction:
     def is_poly(self):
         return len(self.den) == 1 and self.den.get(0) == 1
 
-    def constant_value(self):
-        """Fraction value if the function is constant, else None."""
-        if self.num and (len(self.num) != 1 or 0 not in self.num):
-            return None
-        if len(self.den) != 1 or 0 not in self.den:
-            return None
-        return Fraction(self.num.get(0, 0), self.den[0])
-
     def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            return (
-                self.field is other.field
-                and self.num == other.num
-                and self.den == other.den
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.constant_value() == other
-        return NotImplemented
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return (
+            self.field is other.field
+            and self.num == other.num
+            and self.den == other.den
+        )
 
     def __hash__(self):
         h = self._h
@@ -443,12 +433,6 @@ class RationalFunction:
             den = poly_neg(den)
         return self.__mul__(self.field._make(num, den))
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
     def __pow__(self, k: int):
         f = self.field
         if k == 0:
@@ -523,30 +507,6 @@ class RationalFunction:
 
     def substitute_lambda(self, value):
         return self.substitute(self.field.slot_lambda, value)
-
-    def permute(self, sigma):
-        """Apply x_i -> x_{sigma[i]} (sigma 0-based, a bijection on sites)."""
-        f = self.field
-        if not self.num:
-            return self
-
-        def remap(p):
-            out = {}
-            for k, c in p.items():
-                exps = monomials.unpack(k, f.shifts)
-                new = list(exps)
-                for i in range(f.N):
-                    new[sigma[i]] = exps[i]
-                out[monomials.pack(new, f.shifts)] = c
-            return out
-
-        num = remap(self.num)
-        den = remap(self.den)
-        _, lc = poly_lead(den, f.shifts)
-        if lc < 0:
-            num = poly_neg(num)
-            den = poly_neg(den)
-        return f._make(num, den)
 
     def evaluate(self, assign):
         """Exact value at a point given as {'x1': ..., 'lam': ..., ...}.

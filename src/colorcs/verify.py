@@ -115,9 +115,6 @@ class Leaf(Expr):
         super().__init__()
         self._op = op
 
-    def _build(self):
-        return self._op
-
     def par(self):
         return self._op.parity()
 
@@ -971,10 +968,6 @@ def verify_case(ws: ModelWorkspace, case: CaseSpec, cfg: RunConfig) -> IdentityR
 # -- suite driver -------------------------------------------------------------
 
 
-def case_ids():
-    return tuple(CASES)
-
-
 def _selected_cases(cfg):
     if cfg.cases is None:
         return tuple(CASES)
@@ -990,10 +983,6 @@ def _run_one_context(context, ids, cfg):
     return [verify_case(ws, CASES[cid], cfg) for cid in ids]
 
 
-def _job(args):
-    return _run_one_context(*args)
-
-
 def run_suite(cfg: RunConfig):
     """Run the selected cases over the selected contexts.
 
@@ -1004,9 +993,10 @@ def run_suite(cfg: RunConfig):
     contexts = [tuple(c) for c in cfg.contexts]
     reports = []
     if cfg.workers > 1 and len(contexts) > 1:
-        jobs = [(ctx, ids, cfg) for ctx in contexts]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for chunk in pool.map(_job, jobs):
+            for chunk in pool.map(_run_one_context, contexts,
+                                  itertools.repeat(ids),
+                                  itertools.repeat(cfg)):
                 reports.extend(chunk)
     else:
         for ctx in contexts:

@@ -6,7 +6,7 @@ import pytest
 
 from colorcs import cli
 from colorcs.models import ModelWorkspace
-from colorcs.verify import DEFAULT_SEED, case_ids
+from colorcs.verify import CASES, DEFAULT_SEED
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,7 +37,7 @@ def _manifest(tmp_path, overrides):
 def test_list_cases(capsys):
     assert cli.main(["--list-cases"]) == 0
     out = capsys.readouterr().out
-    for cid in case_ids():
+    for cid in CASES:
         assert cid in out
 
 
@@ -112,6 +112,31 @@ def test_readme_command_lines_parse():
         args = parser.parse_args(argv)
         assert cli._parse_contexts(args, parser)
         cli._parse_cases(args.cases, parser)
+
+
+def test_readme_layout_names_every_module():
+    # the indented entries of the code block under "## Layout"
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("\n## Layout\n", 1)[1].split("```")[1]
+    named = [line.split()[0] for line in block.splitlines()
+             if line.startswith("  ")]
+    pkg = os.path.join(ROOT, "src", "colorcs")
+    modules = {f for f in os.listdir(pkg)
+               if f.endswith(".py") and f != "__init__.py"}
+    assert len(named) == len(set(named))
+    assert set(named) == modules | {"data/"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cont", "1,1,2"],
+    ["--contexts", "1,1,2", "--work", "2"],
+], ids=["cont", "work"])
+def test_option_prefixes_are_not_accepted(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--cases", "eq2.7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_print_operator_builds_inside_the_arithmetic_memo(monkeypatch, capsys):

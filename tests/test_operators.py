@@ -111,17 +111,6 @@ def test_swap_conjugates_units(A21):
             assert got == A21.unit(2, a, b), (a, b)
 
 
-def test_swap_sites_relabeling(A11):
-    e = A11.unit(1, 1, 2)
-    assert e.swap_sites(1, 2) == A11.unit(2, 1, 2)
-    w = A11.field.omega(1, 2)
-    op = A11.unit(1, 2, 1, coeff=w)
-    assert op.swap_sites(1, 2) == A11.unit(2, 2, 1, coeff=-w)
-    # two odd units pay the reordering sign
-    both = A11.unit(1, 1, 2).mul(A11.unit(2, 1, 2))
-    assert both.swap_sites(1, 2) == -both
-
-
 def test_parity_bookkeeping(A11):
     assert A11.unit(1, 1, 2).parity() == 1
     assert A11.unit(1, 2, 2).parity() == 0

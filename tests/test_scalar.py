@@ -112,22 +112,50 @@ def test_constants_and_fractions(F3):
     assert 2 - F3.one == F3.one
 
 
+def test_equality_is_between_functions(F3):
+    # a constant function is not the number it takes, so == agrees with hash
+    assert F3.one != 1 and F3.zero != 0
+    assert F3.const(Fraction(1, 2)) != Fraction(1, 2)
+    assert len({F3.one, 1}) == 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_candidates_are_the_position_binomials(N):
+    F = ScalarField(N)
+    want = [(F.x(i) - F.x(j)).num
+            for i in range(1, N + 1) for j in range(i + 1, N + 1)]
+    assert list(F.candidates) == want
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_factor_outside_the_candidates_cancels(N, monkeypatch):
+    import colorcs.gcdtools as gcdtools
+
+    F = ScalarField(N)
+    a = F.x(1) - F.aux_x
+    assert a.num not in F.candidates
+    heu = []
+    heugcd = gcdtools._heugcd
+
+    def counting_heugcd(*args):
+        heu.append(args)
+        return heugcd(*args)
+
+    monkeypatch.setattr(gcdtools, "_heugcd", counting_heugcd)
+    num = a * (F.x(2) + 1)
+    den = a * (F.x(1) - F.x(2))
+    want = (F.x(2) + 1) / (F.x(1) - F.x(2))
+    assert num / den == want and hash(num / den) == hash(want)
+    assert F.frac(num.num, den.num) == want
+    assert heu
+
+
 def test_pow(F3):
     w = F3.omega(1, 2)
     assert w ** 3 == w * w * w
     assert w ** 0 == F3.one
     assert w ** -2 == F3.one / (w * w)
     assert (F3.x(1) + 1) ** 2 == F3.x(1) * F3.x(1) + F3.x(1) * 2 + 1
-
-
-def test_permute_swap(F3):
-    w = F3.omega(1, 2)
-    sig = F3.transposition(1, 2)
-    assert w.permute(sig) == F3.omega(2, 1)
-    t = F3.theta(2, 3)
-    assert t.permute(F3.transposition(2, 3)) == F3.theta(3, 2)
-    # permutation fixing the support is the identity on the value
-    assert t.permute(F3.transposition(1, 1)) == t
 
 
 def test_substitute(F3):
