@@ -201,19 +201,6 @@ def _divexact_general(a, b, shifts):
     return quo
 
 
-def poly_eval(a, values, shifts):
-    """Exact evaluation; values is a sequence indexed by slot (Fractions ok)."""
-    total = 0
-    for k, c in a.items():
-        term = c
-        for slot, sh in enumerate(shifts):
-            e = (k >> sh) & _MASK
-            if e:
-                term *= values[slot] ** e
-        total += term
-    return total
-
-
 def poly_eval_var(a, slot: int, value: int, shifts):
     """Substitute an integer for one variable; returns a poly in the rest."""
     sh = shifts[slot]

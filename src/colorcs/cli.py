@@ -140,12 +140,30 @@ def _parse_lambda(arg, parser):
 
 
 def load_manifest(path=None):
+    """The expected-verdict manifest at path, or the packaged one.
+
+    Raises ValueError unless the document is a JSON object whose
+    "overrides" maps each case id to an object of per-context objects,
+    the shape ``compare_to_manifest`` reads.
+    """
     if path is None:
         ref = resources.files("colorcs").joinpath(
             "data/expected_manifest.json")
-        return json.loads(ref.read_text())
-    with open(path) as fh:
-        return json.load(fh)
+        doc = json.loads(ref.read_text())
+    else:
+        with open(path) as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("the manifest is not a JSON object")
+    overrides = doc.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ValueError("the manifest's overrides are not an object")
+    for cid, entries in overrides.items():
+        if not isinstance(entries, dict) \
+                or not all(isinstance(e, dict) for e in entries.values()):
+            raise ValueError(f"the manifest's overrides for {cid!r} are "
+                             f"not objects of objects")
+    return doc
 
 
 def _print_operator(args, context, parser):
@@ -265,7 +283,8 @@ def main(argv=None):
 
     try:
         manifest = load_manifest(args.manifest)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers malformed JSON and a document of the wrong shape
         parser.error(f"cannot read manifest: {exc}")
 
     cfg = RunConfig(

@@ -65,7 +65,6 @@ from . import monomials
 from ._kernel import (
     poly_add,
     poly_diff,
-    poly_eval,
     poly_lead,
     poly_mul,
     poly_neg,
@@ -238,11 +237,15 @@ class ScalarField:
             key |= e << self.shifts[slot]
         return self._make({key: coeff}, self._one_p)
 
-    def x(self, i: int):
-        """Position variable x_i, 1-based."""
+    def _site_slot(self, i: int) -> int:
+        """The slot of the 1-based site i; ValueError outside 1..N."""
         if not 1 <= i <= self.N:
             raise ValueError(f"site index {i} out of range 1..{self.N}")
-        return self.monomial({i - 1: 1})
+        return i - 1
+
+    def x(self, i: int):
+        """Position variable x_i, 1-based."""
+        return self.monomial({self._site_slot(i): 1})
 
     @property
     def lam(self):
@@ -258,18 +261,19 @@ class ScalarField:
 
     def omega(self, i: int, j: int):
         """1/(x_i - x_j) for distinct 1-based sites."""
-        if i == j:
-            raise ValueError("omega needs distinct sites")
-        den = {1 << self.shifts[i - 1]: 1, 1 << self.shifts[j - 1]: -1}
-        return self.frac({0: 1}, den)
+        return self.frac({0: 1}, self._position_binomial(i, j))
 
     def theta(self, i: int, j: int):
         """x_i/(x_i - x_j) for distinct 1-based sites."""
-        if i == j:
-            raise ValueError("theta needs distinct sites")
-        num = {1 << self.shifts[i - 1]: 1}
-        den = {1 << self.shifts[i - 1]: 1, 1 << self.shifts[j - 1]: -1}
-        return self.frac(num, den)
+        den = self._position_binomial(i, j)
+        return self.frac({1 << self.shifts[i - 1]: 1}, den)
+
+    def _position_binomial(self, i, j):
+        """x_i - x_j for distinct 1-based sites."""
+        si, sj = self._site_slot(i), self._site_slot(j)
+        if si == sj:
+            raise ValueError(f"need distinct sites, got {i} twice")
+        return {1 << self.shifts[si]: 1, 1 << self.shifts[sj]: -1}
 
 
 class RationalFunction:
@@ -474,7 +478,7 @@ class RationalFunction:
 
     def d_dx(self, i: int):
         """Derivative in the 1-based position x_i."""
-        return self.diff(i - 1)
+        return self.diff(self.field._site_slot(i))
 
     def substitute(self, slot: int, value):
         """Replace the variable in `slot` by an int, Fraction or function."""
@@ -507,32 +511,6 @@ class RationalFunction:
 
     def substitute_lambda(self, value):
         return self.substitute(self.field.slot_lambda, value)
-
-    def evaluate(self, assign):
-        """Exact value at a point given as {'x1': ..., 'lam': ..., ...}.
-
-        Every variable that actually occurs must be assigned.  Raises
-        PoleError if the denominator vanishes there.
-        """
-        f = self.field
-        values = [None] * f.nvars
-        for name, val in assign.items():
-            try:
-                slot = f.names.index(name)
-            except ValueError:
-                raise ValueError(f"unknown variable {name!r}") from None
-            values[slot] = Fraction(val)
-        for p in (self.num, self.den):
-            for k in p:
-                for slot, sh in enumerate(f.shifts):
-                    if (k >> sh) & _MASK and values[slot] is None:
-                        raise ValueError(f"no value for {f.names[slot]}")
-        clean = [v if v is not None else 0 for v in values]
-        dv = poly_eval(self.den, clean, f.shifts)
-        if not dv:
-            raise PoleError("evaluation point lies on a pole")
-        nv = poly_eval(self.num, clean, f.shifts)
-        return Fraction(nv) / Fraction(dv)
 
     # -- formatting -------------------------------------------------------
 

@@ -1,6 +1,9 @@
+import ast
 import json
 import os
+import re
 import shlex
+import sys
 
 import pytest
 
@@ -96,6 +99,26 @@ def test_rejects_zero_workers(monkeypatch, pass_manifest):
                   "--manifest", pass_manifest])
     assert exc.value.code == 2
     assert runs == []
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"overrides": []},
+    {"overrides": {"eq2.7": []}},
+    {"overrides": {"eq2.7": {"1,1,2": "fail"}}},
+], ids=["list", "overrides-list", "case-list", "entry-string"])
+def test_malformed_manifest_is_a_usage_error(doc, monkeypatch, tmp_path,
+                                             capsys):
+    runs = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: runs.append(cfg) or [])
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--cases", "eq2.7", "--contexts", "1,1,2",
+                  "--manifest", str(path)])
+    assert exc.value.code == 2
+    assert runs == []
+    assert "cannot read manifest" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():
@@ -283,3 +306,32 @@ def test_default_manifest_is_packaged():
     manifest = cli.load_manifest()
     assert manifest["schema_version"] == 1
     assert manifest["default"] == "pass"
+
+
+def test_test_imports_are_declared():
+    # a third-party module the tests import but the "test" extra leaves out
+    # fails here, not later as an import error on a fresh install
+    import tomllib  # 3.11+; imported here so the module loads on 3.10
+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    requirements = project["dependencies"] \
+        + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+    tests = os.path.join(ROOT, "tests")
+    modules = [name for name in os.listdir(tests) if name.endswith(".py")]
+    local = {name[:-3] for name in modules} | set(
+        os.listdir(os.path.join(ROOT, "src")))
+    imported = set()
+    for name in modules:
+        with open(os.path.join(tests, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - local - set(sys.stdlib_module_names)
+    assert {"pytest", "hypothesis", "sympy"} <= third_party
+    assert third_party <= declared, sorted(third_party - declared)

@@ -3,7 +3,6 @@
 import random
 
 import pytest
-from fractions import Fraction
 
 from colorcs import _kernel, monomials
 from colorcs.gcdtools import HeuristicGcdError, poly_gcd, poly_primitive
@@ -47,16 +46,6 @@ def r_diff(a, slot):
             kk[slot] -= 1
             out[tuple(kk)] = c * k[slot]
     return out
-
-
-def r_eval(a, values):
-    tot = Fraction(0)
-    for k, c in a.items():
-        term = Fraction(c)
-        for e, v in zip(k, values):
-            term *= Fraction(v) ** e
-        tot += term
-    return tot
 
 
 def to_packed(a):
@@ -145,14 +134,6 @@ def test_diff_matches_reference():
         assert _kernel.poly_diff(to_packed(a), slot, SHIFTS) == to_packed(
             r_diff(a, slot)
         )
-
-
-def test_eval_matches_reference():
-    rng = random.Random(14)
-    for _ in range(40):
-        a = rand_poly(rng)
-        vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(NVARS)]
-        assert _kernel.poly_eval(to_packed(a), vals, SHIFTS) == r_eval(a, vals)
 
 
 def test_eval_var_partial():

@@ -1,14 +1,18 @@
-"""Coefficient field: canonical forms, calculus, evaluation.
+"""Coefficient field: canonical forms, calculus, substitution.
 
-The frozen identities here (omega/theta relations and their derivatives,
-specific point values) were computed by hand once and act as the oracle for
-everything the operator layer builds on top.
+The frozen identities here (omega/theta relations and their derivatives)
+were computed by hand once and act as the oracle for everything the
+operator layer builds on top.  The random-input tests draw their operands
+from ``test_reference`` and judge results with sympy's polynomial ring.
 """
 
-import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_reference import REFERENCE, check, judge, samples
 
 from colorcs import PoleError, ScalarField
 from colorcs.errors import ContextMismatchError
@@ -62,29 +66,44 @@ def test_mixed_partials_commute(F3):
     assert f.d_dx(1).d_dx(2) == f.d_dx(2).d_dx(1)
 
 
-def test_point_values(F3):
-    pt = {"x1": 3, "x2": 1, "x3": -2}
-    assert F3.omega(1, 2).evaluate(pt) == Fraction(1, 2)
-    assert F3.theta(1, 2).evaluate(pt) == Fraction(3, 2)
-    assert F3.theta(2, 1).evaluate(pt) == Fraction(-1, 2)
-    f = F3.omega(1, 3) ** 2 * 4 - F3.one / 5
-    assert f.evaluate(pt) == Fraction(4, 25) - Fraction(1, 5)
+def test_point_values():
+    # omega_ij = 1/(x_i - x_j) and theta_ij = x_i/(x_i - x_j), symbolically
+    J = judge(3)
+    F = J.field
+    xs = J.gens[:3]
+    for i, j in permutations(range(1, 4), 2):
+        b = xs[i - 1] - xs[j - 1]
+        check(J, F.omega(i, j), (J.R.one, b))
+        check(J, F.theta(i, j), (xs[i - 1], b))
+    b = xs[0] - xs[2]
+    check(J, F.omega(1, 3) ** 2 * 4 - F.one / 5, (20 - b ** 2, 5 * b ** 2))
+
+
+OUT_OF_RANGE_SITES = {
+    "x(0)": lambda F: F.x(0),
+    "x(4)": lambda F: F.x(4),
+    "omega(0, 2)": lambda F: F.omega(0, 2),
+    "omega(1, 4)": lambda F: F.omega(1, 4),
+    "omega(2, 2)": lambda F: F.omega(2, 2),
+    "theta(4, 1)": lambda F: F.theta(4, 1),
+    "theta(-1, 2)": lambda F: F.theta(-1, 2),
+    "theta(3, 3)": lambda F: F.theta(3, 3),
+    "d_dx(0)": lambda F: F.x(1).d_dx(0),
+    "d_dx(4)": lambda F: F.x(1).d_dx(4),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_RANGE_SITES.values(),
+                         ids=list(OUT_OF_RANGE_SITES))
+def test_site_indices_are_checked(F3, call):
+    # an index outside 1..3 would otherwise reach the lam, x or y slot
+    with pytest.raises(ValueError):
+        call(F3)
 
 
 def test_pole_detection(F3):
     with pytest.raises(PoleError):
-        F3.omega(1, 2).evaluate({"x1": 2, "x2": 2})
-    with pytest.raises(PoleError):
         F3.one / F3.zero
-
-
-def test_evaluate_needs_all_used_vars(F3):
-    with pytest.raises(ValueError):
-        F3.theta(1, 2).evaluate({"x1": 3})
-    with pytest.raises(ValueError):
-        F3.x(1).evaluate({"bogus": 1})
-    # unused vars need no assignment
-    assert F3.x(1).evaluate({"x1": 5}) == 5
 
 
 def test_canonical_form_is_route_independent(F3):
@@ -192,65 +211,54 @@ def test_to_str_deterministic(F3):
     assert str((F3.one * 2) / 4) == "(1)/2"
 
 
-def rand_rf(field, rng, depth=0):
-    pick = rng.randrange(6 if depth < 2 else 4)
-    if pick == 0:
-        return field.x(rng.randint(1, field.N))
-    if pick == 1:
-        return field.omega(*rng.sample(range(1, field.N + 1), 2))
-    if pick == 2:
-        return field.theta(*rng.sample(range(1, field.N + 1), 2))
-    if pick == 3:
-        return field.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    a = rand_rf(field, rng, depth + 1)
-    b = rand_rf(field, rng, depth + 1)
-    return a * b if pick == 4 else a + b
+@REFERENCE
+@given(samples(3))
+def test_field_axioms_random(sample):
+    J, (a, b, c) = sample
+    (N1, D1), (N2, D2), (N3, D3) = map(J.pair, (a, b, c))
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    check(J, a * (b + c), (N1 * (N2 * D3 + N3 * D2), D1 * D2 * D3))
+    assert a * (b + c) == a * b + a * c
+    assert a - a == J.field.zero
+    assert (a / b) * b == a
 
 
-def test_field_axioms_random(F3):
-    rng = random.Random(23)
-    for _ in range(40):
-        a = rand_rf(F3, rng)
-        b = rand_rf(F3, rng)
-        c = rand_rf(F3, rng)
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert (a - a) == F3.zero
-        if b:
-            assert (a / b) * b == a
+@REFERENCE
+@given(samples(2))
+def test_leibniz_rule_random(sample):
+    J, (a, b) = sample
+    ab = a * b
+    for slot in range(J.field.nvars):
+        assert ab.diff(slot) == a.diff(slot) * b + a * b.diff(slot)
+    # the value in x1; test_reference judges every slot
+    P, Q = J.pair(ab)
+    x1 = J.gens[0]
+    check(J, ab.diff(0), (P.diff(x1) * Q - P * Q.diff(x1), Q * Q))
 
 
-def test_leibniz_rule_random(F3):
-    rng = random.Random(29)
-    for _ in range(25):
-        a = rand_rf(F3, rng)
-        b = rand_rf(F3, rng)
-        for i in (1, 2):
-            assert (a * b).d_dx(i) == a.d_dx(i) * b + a * b.d_dx(i)
+def _value(f, point):
+    """f with every slot substituted: a constant of f's field."""
+    for slot, v in enumerate(point):
+        f = f.substitute(slot, v)
+    return f
 
 
-def test_evaluation_is_a_homomorphism(F3):
-    rng = random.Random(31)
-    hits = 0
-    while hits < 60:
-        a = rand_rf(F3, rng)
-        b = rand_rf(F3, rng)
-        pt = {
-            "x1": Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
-            "x2": Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
-            "x3": Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
-            "lam": rng.randint(-3, 3),
-        }
-        try:
-            va, vb = a.evaluate(pt), b.evaluate(pt)
-            vs = (a + b).evaluate(pt)
-            vp = (a * b).evaluate(pt)
-        except PoleError:
-            continue
-        assert vs == va + vb
-        assert vp == va * vb
-        hits += 1
+@REFERENCE
+@given(samples(2), st.data())
+def test_evaluation_is_a_homomorphism(sample, data):
+    J, (a, b) = sample
+    F = J.field
+    # distinct nonzero positions miss every pole of a drawn denominator
+    small = st.fractions(-9, 9, max_denominator=3)
+    point = data.draw(st.lists(small.filter(bool), min_size=F.N,
+                               max_size=F.N, unique=True))
+    point += data.draw(st.lists(small, min_size=3, max_size=3))
+    va, vb = _value(a, point), _value(b, point)
+    assert _value(a + b, point) == va + vb
+    assert _value(a * b, point) == va * vb
+    G, H = J.pair(a)
+    assert va == F.const(J.at(G, point) / J.at(H, point))
 
 
 def _copy(rf):
@@ -437,24 +445,26 @@ def test_equal_differences_skip_the_memo():
         assert F.x(1) - t == -(t - F.x(1))
 
 
-def test_difference_is_sum_with_negation(F3):
-    rng = random.Random(37)
-    for _ in range(60):
-        f = rand_rf(F3, rng)
-        g = rand_rf(F3, rng)
-        assert f - g == f + (-g)
-        assert g - f == -(f - g)
-        assert f - F3.zero is f
-        assert F3.zero - g == -g
-        c = rng.randint(-3, 3)
-        assert c - f == F3.const(c) + (-f)
-        assert f - c == f + F3.const(-c)
+@REFERENCE
+@given(samples(2), st.integers(-3, 3))
+def test_difference_is_sum_with_negation(sample, c):
+    J, (f, g) = sample
+    F = J.field
+    (N1, D1), (N2, D2) = J.pair(f), J.pair(g)
+    check(J, f - g, (N1 * D2 - N2 * D1, D1 * D2))
+    assert f - g == f + (-g)
+    assert g - f == -(f - g)
+    assert f - F.zero is f
+    assert F.zero - g == -g
+    assert c - f == F.const(c) + (-f)
+    assert f - c == f + F.const(-c)
 
 
-def test_negation_by_scaling_matches_the_product(F3):
-    rng = random.Random(41)
-    minus_one = F3.const(-1)
-    for _ in range(40):
-        f = rand_rf(F3, rng)
-        assert f._scale_int(-1) == -f == f * minus_one
-        assert f._scale_int(-3) == -(f._scale_int(3))
+@REFERENCE
+@given(samples(1))
+def test_negation_by_scaling_matches_the_product(sample):
+    J, (f,) = sample
+    G, H = J.pair(f)
+    check(J, f._scale_int(-3), (-3 * G, H))
+    assert f._scale_int(-1) == -f == f * J.field.const(-1)
+    assert f._scale_int(-3) == -(f._scale_int(3))
