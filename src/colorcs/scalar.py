@@ -481,8 +481,11 @@ class RationalFunction:
         return self.diff(self.field._site_slot(i))
 
     def substitute(self, slot: int, value):
-        """Replace the variable in `slot` by an int, Fraction or function."""
+        """Replace the variable in `slot` by an int, Fraction or function;
+        ValueError for a slot outside 0..nvars-1."""
         f = self.field
+        if not 0 <= slot < f.nvars:
+            raise ValueError(f"slot {slot} out of range 0..{f.nvars - 1}")
         r = value if isinstance(value, RationalFunction) else f.const(value)
         if r.field is not f:
             raise ContextMismatchError("substitution value from another field")

@@ -59,7 +59,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -986,14 +985,21 @@ def _run_one_context(context, ids, cfg):
 def run_suite(cfg: RunConfig):
     """Run the selected cases over the selected contexts.
 
-    Returns reports sorted by (case id, context); the order and content
-    are deterministic for a fixed config and seed (timing aside).
+    With more than one worker and more than one context, the contexts go
+    to a process pool of at most one worker per context; otherwise the run
+    stays in this process and never imports the pool.  Returns reports
+    sorted by (case id, context); the order and content are deterministic
+    for a fixed config and seed (timing aside).
     """
     ids = _selected_cases(cfg)
     contexts = [tuple(c) for c in cfg.contexts]
     reports = []
     if cfg.workers > 1 and len(contexts) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # fork starts all max_workers at the first submit: one per context
+        with ProcessPoolExecutor(
+                max_workers=min(cfg.workers, len(contexts))) as pool:
             for chunk in pool.map(_run_one_context, contexts,
                                   itertools.repeat(ids),
                                   itertools.repeat(cfg)):

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -300,6 +301,27 @@ def test_numeric_coupling_skips_count_comparison(capsys, tmp_path):
                    "--lambda", "3/2", "--manifest", manifest])
     assert rc == 0
     assert "all verdicts match" in capsys.readouterr().out
+
+
+STARTUP_PROBE = """
+import sys
+from colorcs import cli
+for workers, contexts in (("1", "1,1,2;2,0,2"), ("2", "1,1,2")):
+    rc = cli.main(["--cases", "eq2.7", "--contexts", contexts,
+                   "--workers", workers, "--format", "structured"])
+    assert rc == 0, (workers, contexts, rc)
+loaded = [m for m in ("multiprocessing", "concurrent.futures.process")
+          if m in sys.modules]
+assert loaded == [], loaded
+"""
+
+
+def test_serial_run_never_imports_the_process_pool():
+    # a fresh interpreter, so that nothing the test session loaded counts
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_default_manifest_is_packaged():

@@ -196,6 +196,22 @@ def test_substitute_into_zero(F3):
         F3.zero.substitute(0, ScalarField(3).x(1))
 
 
+def test_substitute_every_slot():
+    F = ScalarField(2)
+    var = [F.monomial({slot: 1}) for slot in range(F.nvars)]
+    total = sum(var, F.zero)
+    for slot in range(F.nvars):
+        assert total.substitute(slot, 7) == total - var[slot] + 7
+
+
+def test_substitute_rejects_slot_out_of_range():
+    F = ScalarField(2)
+    f = F.monomial({F.slot_y: 1}) + F.x(1)
+    for slot in (-1, F.nvars):
+        with pytest.raises(ValueError, match="out of range"):
+            f.substitute(slot, 5)
+
+
 def test_context_mismatch():
     a = ScalarField(2)
     b = ScalarField(2)

@@ -234,6 +234,32 @@ def test_parallel_contexts_match_serial():
     assert strip(serial) == strip(parallel)
 
 
+def test_pool_gets_one_worker_per_context(monkeypatch):
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = vf.RunConfig(workers=64, contexts=((2, 0, 2), (1, 1, 2)),
+                       cases=("eq2.7",))
+    reports = vf.run_suite(cfg)
+    assert requested == [2]
+    assert sorted((r.n, r.m, r.N) for r in reports) == [(1, 1, 2), (2, 0, 2)]
+
+
 def test_unknown_case_is_rejected():
     with pytest.raises(KeyError, match="no-such-case"):
         vf.run_suite(vf.RunConfig(cases=("no-such-case",)))
