@@ -198,6 +198,8 @@ class ModelWorkspace:
         variant is the unsigned unit.  Both are exposed so the defining
         relation can be checked against either convention.
         """
+        for c in (a, b):
+            self.parity(c)  # ValueError for a color out of range
         if a != b:
             return self.ctx.zero()
         f = self.ctx.field

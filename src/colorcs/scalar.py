@@ -9,9 +9,12 @@ RationalFunction is a canonical pair (num, den) over Z with
   * zero represented as (0, 1).
 
 Structural equality of canonical pairs is then mathematical equality, which
-is what the rest of the package leans on.  Addition and multiplication use
-the Henrici reductions, so the expensive gcds run on the smallest possible
-inputs.
+is what the rest of the package leans on.  A new numerator is reduced at
+one seam, ``ScalarField._cancel``, against the one factor of its
+denominator that can share a prime with it: in a sum the gcd of the two
+denominators, in a derivative gcd(den, d den), in ``frac`` (input only;
+no arithmetic calls it) the whole denominator.  A product cancels each
+numerator against the other factor's denominator.
 
 The operators are built from few distinct coefficients, so the same sums,
 products, derivatives and denominator gcds recur many times within one
@@ -213,18 +216,33 @@ class ScalarField:
         den = self._one_p if c.denominator == 1 else {0: c.denominator}
         return RationalFunction(self, num, den)
 
+    def _cancel(self, t, g, rest):
+        """t/(g*rest), canonical (zero included), for positive-lead g and
+        rest when only factors of g can cancel against t.
+
+        In d/dx_k of n/den, with (g, q, dq) = gcd(den, d den) and
+        t = n'q - n dq, gcd(t, den*q) = gcd(t, g): for a prime p with
+        e = v_p(den) >= 1, if p contains x_k then v_p(g) = e - 1,
+        v_p(dq) = 0 and p does not divide n, so v_p(t) = 0 and p's
+        exponent rises by one; if p is free of x_k (another binomial, a
+        monomial in another position, integer content), v_p(g) = e =
+        v_p(den*q).
+        """
+        if t and g != self._one_p:
+            _, t, g = self.gcd(t, g)
+        if rest != self._one_p:
+            g = rest if g == self._one_p else poly_mul(g, rest, self.shifts)
+        return self._make(t, g)
+
     def frac(self, num, den):
-        """Canonicalize an arbitrary num/den pair of polynomials."""
+        """Canonicalize an input pair of polynomials num/den."""
         if not den:
             raise PoleError("zero denominator")
-        if not num:
-            return self.zero
-        _, num, den = self.gcd(num, den)
         _, lc = poly_lead(den, self.shifts)
         if lc < 0:
             num = poly_neg(num)
             den = poly_neg(den)
-        return self._make(num, den)
+        return self._cancel(num, den, self._one_p)
 
     def monomial(self, exps, coeff=1):
         """exps: mapping slot -> exponent."""
@@ -338,24 +356,12 @@ class RationalFunction:
         f = self.field
         n1, d1 = self.num, self.den
         n2, d2 = o.num, o.den
-        sh = f.shifts
         if d1 == d2:
-            t = poly_add(n1, n2)
-            if not t:
-                return f.zero
-            if len(d1) == 1 and d1.get(0) == 1:
-                return f._make(t, d1)
-            _, t, d = f.gcd(t, d1)
-            return f._make(t, d)
+            return f._cancel(poly_add(n1, n2), d1, f._one_p)
+        sh = f.shifts
         g, q1, q2 = f._gcd_dens(d1, d2)
         t = poly_add(poly_mul(n1, q2, sh), poly_mul(n2, q1, sh))
-        if not t:
-            return f.zero
-        if g != f._one_p:
-            # only the factors of g can cancel against t
-            _, t, g = f.gcd(t, g)
-            q1 = poly_mul(g, q1, sh)
-        return f._make(t, poly_mul(q1, q2, sh))
+        return f._cancel(t, g, poly_mul(q1, q2, sh))
 
     def __neg__(self):
         num = self.num
@@ -464,17 +470,10 @@ class RationalFunction:
     def _diff(self, slot):
         f = self.field
         sh = f.shifts
+        g, q, dq = f.gcd(self.den, poly_diff(self.den, slot, sh))
         nd = poly_diff(self.num, slot, sh)
-        dd = poly_diff(self.den, slot, sh)
-        if not dd:
-            if not nd:
-                return f.zero
-            return f.frac(nd, self.den)
-        _, q, dq = f.gcd(self.den, dd)
         t = poly_add(poly_mul(nd, q, sh), poly_neg(poly_mul(self.num, dq, sh)))
-        if not t:
-            return f.zero
-        return f.frac(t, poly_mul(self.den, q, sh))
+        return f._cancel(t, g, poly_mul(q, q, sh))
 
     def d_dx(self, i: int):
         """Derivative in the 1-based position x_i."""

@@ -59,7 +59,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -295,23 +295,12 @@ class IdentityReport:
     residuals: list = dc_field(default_factory=list)
 
     def as_dict(self):
-        out = {
-            "id": self.id,
-            "suite": self.suite,
-            "n": self.n,
-            "m": self.m,
-            "N": self.N,
-            "verdict": self.verdict,
-            "oracle_agrees": self.oracle_agrees,
-            "instances": self.instances,
-            "failed": self.failed,
-            "residual_term_count": self.residual_term_count,
-            "millis": self.millis,
-        }
-        if self.note:
-            out["note"] = self.note
-        if self.residuals:
-            out["residuals"] = self.residuals
+        """The fields in declaration order, an empty note or residual
+        list left out."""
+        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        for optional in ("note", "residuals"):
+            if not out[optional]:
+                del out[optional]
         return out
 
 

@@ -308,6 +308,7 @@ def test_registry_resolves_names(ws112):
 @pytest.mark.parametrize("bad", [
     "", "Zz", "T", "T[1]", "T[1,2]", "T[1,1,2,3]", "T[x,1,1]",
     "E[9,1,1]", "E[1,7,1]", "W[0,1]", "W[1,-1]", "Lc[3,1]", "H_c[1]",
+    "Tm1[9,8]", "Tm1_plain[9,9]", "Tm1[1,7]",
 ])
 def test_registry_rejects_bad_names(ws112, bad):
     with pytest.raises(UnknownNameError):

@@ -61,6 +61,46 @@ def test_theta_derivative(F3):
     assert t.d_dx(3) == F3.zero
 
 
+def _derivative_cases():
+    R, x1, x2, x3 = judge(3).R, *judge(3).gens[:3]
+    return {
+        # an x1-free binomial of the denominator cancels
+        "free-binomial": ((x1 * (x2 - x3) + 1, x2 - x3), (R.one, R.one)),
+        # integer content cancels; the denominator is free of x1
+        "content": ((2 * x1 + 1, R(2)), (R.one, R.one)),
+        # the x1 binomial rises by one and does not cancel
+        "x1-binomial": ((x1 + x2, x1 - x2), (-2 * x2, (x1 - x2) ** 2)),
+        "x1-power": ((R.one, (x1 - x2) ** 2), (R(-2), (x1 - x2) ** 3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_derivative_cases()))
+def test_derivative_cancels_only_x1_free_factors(name):
+    J = judge(3)
+    (num, den), want = _derivative_cases()[name]
+    d = J.frac(num, den).diff(0)
+    # the exact canonical pair: value and form at once
+    assert J.pair(d) == want
+
+
+@REFERENCE
+@given(samples(2), st.integers(-2, 3))
+def test_arithmetic_never_calls_frac(sample, k):
+    J, (a, b) = sample
+
+    def refuse(*args):
+        raise AssertionError("frac called by arithmetic")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScalarField, "frac", refuse)
+        results = [a + b, a - b, a * b, a / b, a ** k, a + 3, 2 - a,
+                   a * Fraction(2, 3), a / 5, a.substitute_lambda(2)]
+        results += [f.diff(slot) for f in (a, b)
+                    for slot in range(J.field.nvars)]
+    for r in results:
+        J.pair(r)
+
+
 def test_mixed_partials_commute(F3):
     f = F3.theta(1, 2) * F3.omega(2, 3) + F3.x(1) * F3.lam
     assert f.d_dx(1).d_dx(2) == f.d_dx(2).d_dx(1)

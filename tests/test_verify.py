@@ -273,6 +273,15 @@ def _report(**kw):
     return vf.IdentityReport(**base)
 
 
+def test_report_dict_keeps_field_order():
+    keys = ["id", "suite", "n", "m", "N", "verdict", "oracle_agrees",
+            "instances", "failed", "residual_term_count", "millis"]
+    assert list(_report().as_dict()) == keys
+    full = _report(note="budget", residuals=["r"]).as_dict()
+    assert list(full) == keys + ["note", "residuals"]
+    assert (full["note"], full["residuals"]) == ("budget", ["r"])
+
+
 def test_manifest_verdict_deviation():
     manifest = {"seed": vf.DEFAULT_SEED, "default": "pass",
                 "overrides": {"eq3.1": {"1,1,2": {"verdict": "fail"}}}}
