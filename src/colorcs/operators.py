@@ -52,7 +52,7 @@ product, and verdictbench's ``operators.mul`` span still times and counts
 it; the action path (``verify.Bracket``) still applies both orders to
 states, so the oracle checks the shortcut against independent code.
 ``min_deriv`` is part of the key, so a truncated bracket is never derived
-from a full one or the reverse; the oracle compares exactly those two.
+from a full one or the reverse.
 The memo holds one entry per distinct (a, b, min_deriv) a verdict
 evaluates, and most results are held for the verdict anyway by the
 ``Bracket`` nodes of its instances; what it adds is the entries, the

@@ -339,7 +339,22 @@ def test_oracle_rejects_a_wrong_truncated_residual(ws112):
     assert not wrong.is_zero
     agrees, note = vf._oracle_instance(ws112, cfg, inst, wrong)
     assert not agrees
-    assert "truncated bracket" in note
+    assert "product path" in note
+
+
+def test_oracle_reads_the_top_from_the_cut_up(ws112):
+    # lhs - rhs has terms at derivative degree 0 and 1 here; cut at 1, the
+    # residual keeps the degree-1 terms, and the oracle must match them
+    # with the probes' t-degree >= 1 components, no more and no fewer
+    cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=1)
+    inst = next(inst for inst in vf.CASES["eq3.36"].instances(ws112, cfg)
+                if inst.label == "s=1 s'=2 p=1 q=0 abcd=1111")
+    full = vf._exact_residual(inst, None)
+    assert {sum(p) for _, p in full.terms} == {0, 1}
+    inst.dexp = 1
+    residual = vf._leading_residual(inst, None)
+    assert residual == full.filtered(1)
+    assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
 
 
 def test_oracle_rejects_a_residual_its_probes_cannot_see(ws112, monkeypatch):
@@ -364,9 +379,36 @@ def test_oracle_sees_a_residual_of_any_degree(ws112):
         False, "action path disagrees with the product path")
 
 
-@pytest.mark.parametrize("case_id", ["eq3.36", "eq3.15"])
+def _dropping_top(mul):
+    from colorcs.operators import OperatorSum
+
+    def dropping_mul(self, other, min_deriv=None, **private):
+        out = mul(self, other, min_deriv, **private)
+        top = out.max_deriv_degree()
+        if top < 2:
+            return out
+        return OperatorSum(out.ctx, {k: f for k, f in out.terms.items()
+                                     if sum(k[1]) < top})
+    return dropping_mul
+
+
+def _shifted_cap(shift):
+    def wrap(mul):
+        def shifted_mul(self, other, min_deriv=None, **private):
+            if min_deriv is not None:
+                min_deriv += shift
+            return mul(self, other, min_deriv, **private)
+        return shifted_mul
+    return wrap
+
+
+@pytest.mark.parametrize("case_id,mutation", [
+    pytest.param("eq3.36", _dropping_top, id="eq3.36"),
+    pytest.param("eq3.15", _dropping_top, id="eq3.15"),
+] + [pytest.param(case_id, _shifted_cap(shift), id=f"{case_id}-cap{shift:+d}")
+     for shift in (1, -1) for case_id in ("eq3.34", "eq3.35", "eq3.36")])
 def test_oracle_catches_a_product_that_drops_its_top_degree(
-        case_id, monkeypatch):
+        case_id, mutation, monkeypatch):
     from colorcs.operators import OperatorSum
 
     ws = ModelWorkspace(1, 1, 2)
@@ -382,17 +424,7 @@ def test_oracle_catches_a_product_that_drops_its_top_degree(
     truth = [residual(inst)
              for inst in vf.CASES[case_id].instances(ws, cfg)]
     fresh = list(vf.CASES[case_id].instances(ws, cfg))
-    mul = OperatorSum.mul
-
-    def dropping_mul(self, other, min_deriv=None, **private):
-        out = mul(self, other, min_deriv, **private)
-        top = out.max_deriv_degree()
-        if top < 2:
-            return out
-        return OperatorSum(out.ctx, {k: f for k, f in out.terms.items()
-                                     if sum(k[1]) < top})
-
-    monkeypatch.setattr(OperatorSum, "mul", dropping_mul)
+    monkeypatch.setattr(OperatorSum, "mul", mutation(OperatorSum.mul))
     changed = 0
     for inst, right in zip(fresh, truth):
         wrong = residual(inst)
@@ -402,6 +434,27 @@ def test_oracle_catches_a_product_that_drops_its_top_degree(
         agrees, _ = vf._oracle_instance(ws, cfg, inst, wrong)
         assert not agrees, inst.label
     assert changed > 0
+
+
+@pytest.mark.parametrize("case_id", ["eq3.34", "eq3.36"])
+def test_oracle_forms_no_product_on_a_leading_instance(
+        ws112, case_id, monkeypatch):
+    from colorcs.operators import OperatorSum
+
+    cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=1)
+    inst = next(inst for inst in vf.CASES[case_id].instances(ws112, cfg)
+                if inst.dexp is not None)
+    residual = vf._leading_residual(inst, cfg.lam)
+    calls = []
+    mul = OperatorSum.mul
+
+    def counting_mul(self, other, min_deriv=None, **private):
+        calls.append(min_deriv)
+        return mul(self, other, min_deriv, **private)
+
+    monkeypatch.setattr(OperatorSum, "mul", counting_mul)
+    assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
+    assert calls == []
 
 
 def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
