@@ -21,6 +21,8 @@ basis state equal to in, and a product w1 w2 is nonzero only when
 w1[1] == w2[0].  Callers find those matches with a dictionary lookup on the
 tuples; ``full_word_mul`` and ``full_word_act`` then compute only the sign,
 and the resulting word or state reuses tuples the operands already hold.
+``full_word_relabel`` renames the sites of a word and returns the Koszul
+sign of putting its odd units back in ascending site order.
 """
 
 from __future__ import annotations
@@ -176,6 +178,33 @@ def full_word_mul(ctx, w1, w2):
     if exp & 1:
         return -1, (w1[0], w2[1])
     return 1, (w1[0], w2[1])
+
+
+def full_word_relabel(ctx, key, dest):
+    """(sign, word) for the full-support word key with site k + 1 renamed
+    to site dest[k] + 1 (dest a 0-based permutation).
+
+    The renamed units, still in the old site order, are reordered into
+    ascending sites; each pair of odd units that swaps order gives a sign.
+    """
+    par = ctx._par
+    out, inn = key
+    new_out = [0] * len(dest)
+    new_in = [0] * len(dest)
+    exp = 0
+    odd_dest = []
+    for a, b, d in zip(out, inn, dest):
+        new_out[d] = a
+        new_in[d] = b
+        if (par[a] + par[b]) & 1:
+            for e in odd_dest:
+                if e > d:
+                    exp += 1
+            odd_dest.append(d)
+    word = (tuple(new_out), tuple(new_in))
+    if exp & 1:
+        return -1, word
+    return 1, word
 
 
 def full_word_act(ctx, key):

@@ -10,6 +10,21 @@ arguments), so repeated requests (the verifier loops over thousands of
 color tuples) cost one dict lookup.  Operators are never mutated after
 construction, so handing every caller the same object is safe.
 
+Two rules keep each generator row from being built twice:
+
+  * A colored generator is sum_i e(i,a,b) times a color-blind row at
+    site i, and the spin recursion brackets with x^2 = sum_i x_i^2, which
+    is even and color-blind, so [x^2, e(i,a,b) R] = e(i,a,b) [x^2, R].
+    Q_{s,p} therefore runs its brackets on the rows (``_spin_row``), once
+    for all dim^2 color pairs.
+  * The Lax entries of both kinds and x^2 are natural under renaming the
+    sites, so row i of L^p and of the spin recursion is row 1's image
+    under the swap of sites 1 and i (``OperatorSum.relabel``); only row 1
+    is built by products and brackets.
+
+``w_gen``, ``w_closed`` and ``q_closed`` keep their direct builds: the
+identities compare the recursions with the closed forms.
+
 Site indices are 1-based, color indices run 1..n+m.
 """
 
@@ -162,17 +177,27 @@ class ModelWorkspace:
             rows.append(tuple(row))
         return tuple(rows)
 
+    def _site_image(self, i: int, op: OperatorSum) -> OperatorSum:
+        """op, a site-1 row, renamed by the swap of sites 1 and i."""
+        sigma = list(range(1, self.N + 1))
+        sigma[0], sigma[i - 1] = i, 1
+        return op.relabel(sigma)
+
     @_memoized
     def _row_sum(self, kind: str, p: int, i: int) -> OperatorSum:
         """Sum over j of (L^p)_{ij}; shared by every color pair.
 
         The row sums of L^p are the vector L^p 1, so they follow from
         those of L^(p-1) as sum_k L_ik (row sum k of L^(p-1)), with N
-        products per entry instead of N^2 for the whole matrix power."""
+        products per entry instead of N^2 for the whole matrix power.
+        Only row 1 is built that way; row i is its image under the swap
+        of sites 1 and i."""
         if p < 0:
             raise ValueError("matrix power must be nonnegative")
         if p == 0:
             return self.ctx.identity()
+        if i > 1:
+            return self._site_image(i, self._row_sum(kind, p, 1))
         lax = self._lax_matrix(kind, "L")
         op = self.ctx.zero()
         for k in range(1, self.N + 1):
@@ -487,13 +512,28 @@ class ModelWorkspace:
         return op
 
     @_memoized
+    def _spin_row(self, s: int, p: int, i: int) -> OperatorSum:
+        """Site i's color-blind part of Q_{s,p}: the bracket recursion
+        run on row i of L^p, built at site 1 and renamed to site i."""
+        self._check_spin(s, p)
+        if s == 1:
+            return self._row_sum(RATIONAL, p, i)
+        if i > 1:
+            return self._site_image(i, self._spin_row(s, p, 1))
+        prev = self._spin_row(s - 1, p + 2, 1)
+        return self.x_squared().bracket(prev).scale(Fraction(1, 2 * (p + s)))
+
+    @_memoized
     def q_gen(self, s: int, p: int, a: int, b: int) -> OperatorSum:
-        """Spin-s colored generator by the bracket recursion."""
+        """Spin-s colored generator by the bracket recursion, which runs
+        on the color-blind site rows (``_spin_row``)."""
         self._check_spin(s, p)
         if s == 1:
             return self.loop_J(p, a, b)
-        prev = self.q_gen(s - 1, p + 2, a, b)
-        return self.x_squared().bracket(prev).scale(Fraction(1, 2 * (p + s)))
+        op = self.ctx.zero()
+        for i in range(1, self.N + 1):
+            op = op + self.unit(i, a, b).mul(self._spin_row(s, p, i))
+        return op
 
     @_memoized
     def q_closed(self, s: int, p: int, a: int, b: int) -> OperatorSum:

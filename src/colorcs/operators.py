@@ -61,6 +61,18 @@ Outside a memo scope nothing is stored.  A product's word sign is folded
 into its accumulation: a negative pair subtracts from an existing term
 and negates only a new one.
 
+``relabel(sigma)`` renames site k to sigma(k): it permutes each term's
+out, in and derivative tuples and maps each coefficient through
+``RationalFunction.relabel``, once per distinct coefficient object.  A
+word is the product of its units in ascending site order, so the renamed
+units are put back in that order, and each pair of odd units whose order
+the renaming reverses flips the term's sign (``full_word_relabel``).  The
+relations among units, positions and derivatives do not depend on which
+sites carry them, so the renaming is an automorphism: it preserves sums,
+products and brackets.  The model builders read every site's row off
+site 1's with it (see ``models``).  The oracle never calls it: it applies
+builder leaves to probes, so a wrong image shows as a manifest deviation.
+
 The running term budget is a context variable so a verification run can
 bound intermediate growth without threading a parameter everywhere.
 """
@@ -76,6 +88,7 @@ from .color import (
     full_word_act,
     full_word_mul,
     full_word_parity,
+    full_word_relabel,
     permutation_terms,
     word_from_units,
 )
@@ -469,6 +482,34 @@ class OperatorSum:
                     (sgn < 0, new_st, f))
             self._by_in = idx
         return idx
+
+    def relabel(self, sigma):
+        """This operator with site k renamed to sigma(k) in its words,
+        derivatives and coefficients; sigma lists the images (sigma(1),
+        ..., sigma(N)).  The module docstring gives the sign."""
+        ctx = self.ctx
+        grading = ctx.grading
+        dest = ctx.field._site_perm(sigma)
+        images = {}
+        out = {}
+        for (w, p), f in self.terms.items():
+            sign, word = full_word_relabel(grading, w, dest)
+            if any(p):
+                q = [0] * ctx.N
+                for k, d in zip(p, dest):
+                    q[d] = k
+                p = tuple(q)
+            # one image per source coefficient and sign, so shared
+            # coefficients stay shared
+            g = images.get((id(f), sign))
+            if g is None:
+                g = images.get((id(f), 1))
+                if g is None:
+                    g = images[id(f), 1] = f.relabel(sigma)
+                if sign < 0:
+                    g = images[id(f), -1] = -g
+            out[(word, p)] = g
+        return OperatorSum(ctx, out)
 
     def filtered(self, min_deriv=0):
         keep = {k: f for k, f in self.terms.items() if sum(k[1]) >= min_deriv}

@@ -12,9 +12,11 @@ Structural equality of canonical pairs is then mathematical equality, which
 is what the rest of the package leans on.  A new numerator is reduced at
 one seam, ``ScalarField._cancel``, against the one factor of its
 denominator that can share a prime with it: in a sum the gcd of the two
-denominators, in a derivative gcd(den, d den), in ``frac`` (input only;
-no arithmetic calls it) the whole denominator.  A product cancels each
-numerator against the other factor's denominator.
+denominators, in a derivative gcd(den, d den) (the whole denominator
+when it is free of the variable), in ``frac`` (input only; no arithmetic
+calls it) the whole denominator.  A product cancels each numerator
+against the other factor's denominator.  ``relabel``, a renaming of the
+positions, needs no reduction at all.
 
 The operators are built from few distinct coefficients, so the same sums,
 products, derivatives and denominator gcds recur many times within one
@@ -261,6 +263,14 @@ class ScalarField:
             raise ValueError(f"site index {i} out of range 1..{self.N}")
         return i - 1
 
+    def _site_perm(self, sigma):
+        """The 0-based slots (sigma(1) - 1, ..., sigma(N) - 1) of a site
+        permutation given by its 1-based images; ValueError otherwise."""
+        dest = tuple(self._site_slot(i) for i in sigma)
+        if len(dest) != self.N or len(set(dest)) != self.N:
+            raise ValueError(f"not a permutation of the sites: {sigma!r}")
+        return dest
+
     def x(self, i: int):
         """Position variable x_i, 1-based."""
         return self.monomial({self._site_slot(i): 1})
@@ -470,14 +480,51 @@ class RationalFunction:
     def _diff(self, slot):
         f = self.field
         sh = f.shifts
-        g, q, dq = f.gcd(self.den, poly_diff(self.den, slot, sh))
         nd = poly_diff(self.num, slot, sh)
+        dden = poly_diff(self.den, slot, sh)
+        if not dden:
+            # a denominator free of the slot: d(n/den) = n'/den
+            return f._cancel(nd, self.den, f._one_p)
+        g, q, dq = f.gcd(self.den, dden)
         t = poly_add(poly_mul(nd, q, sh), poly_neg(poly_mul(self.num, dq, sh)))
         return f._cancel(t, g, poly_mul(q, q, sh))
 
     def d_dx(self, i: int):
         """Derivative in the 1-based position x_i."""
         return self.diff(self.field._site_slot(i))
+
+    def relabel(self, sigma):
+        """This function with x_k renamed to x_sigma(k); sigma lists the
+        images (sigma(1), ..., sigma(N)) of the sites.
+
+        A renaming of variables is a ring automorphism, so num and den
+        stay coprime with the same contents, and no gcd is needed: only
+        den's graded-lex lead can turn negative, and then both are
+        negated.  A polynomial free of the positions is kept as it is."""
+        f = self.field
+        sh = f.shifts
+        moves = [(sh[k], sh[d]) for k, d in enumerate(f._site_perm(sigma))]
+        pos = 0
+        for s, _ in moves:
+            pos |= _MASK << s
+
+        def image(p):
+            if not any(key & pos for key in p):
+                return p
+            out = {}
+            for key, c in p.items():
+                new = key & ~pos
+                for s, d in moves:
+                    new |= ((key >> s) & _MASK) << d
+                out[new] = c
+            return out
+
+        num, den = image(self.num), image(self.den)
+        if num is self.num and den is self.den:
+            return self
+        if poly_lead(den, sh)[1] < 0:
+            num, den = poly_neg(num), poly_neg(den)
+        return f._make(num, den)
 
     def substitute(self, slot: int, value):
         """Replace the variable in `slot` by an int, Fraction or function;

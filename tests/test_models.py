@@ -1,12 +1,14 @@
 """Builder-level checks with hand-frozen expected operators."""
 
 import inspect
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from colorcs.errors import UnknownNameError
 from colorcs.models import RATIONAL, TRIG, ModelWorkspace
+from colorcs.operators import OperatorSum
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +323,7 @@ _MEMOIZED = {
     "hamiltonian": (TRIG,),
     "_lax_matrix": (RATIONAL, "M"),
     "_row_sum": (RATIONAL, 1, 2),
+    "_spin_row": (2, 1, 2),
     "yangian_T": (1, 1, 2),
     "loop_J": (1, 2, 1),
     "loop_K": (2, 1, 2),
@@ -360,3 +363,94 @@ def test_failed_build_leaves_no_memo_entry():
         with pytest.raises(ValueError):
             ws.yangian_T(-1, 1, 1)
     assert ws._memo == {}
+
+
+# -- site relabelling and color-blind rows ------------------------------------
+
+
+def test_relabel_fixes_the_symmetric_builders():
+    ws = ModelWorkspace(1, 1, 3)
+    fixed = [ws.hamiltonian(RATIONAL), ws.hamiltonian(TRIG), ws.x_squared()]
+    fixed += [ws.j_scalar(p) for p in range(3)]
+    # the colored sums sum_i e(i,a,b) (row i) are fixed as well
+    fixed += [ws.yangian_T(1, 1, 2), ws.loop_J(2, 2, 1), ws.loop_K(1, 1, 2),
+              ws.w_gen(2, 0), ws.q_gen(2, 0, 1, 2)]
+    for sigma in itertools.permutations((1, 2, 3)):
+        for op in fixed:
+            assert op.relabel(sigma) == op, sigma
+
+
+def _direct_rows(ws, kind, top):
+    """rows[p][i - 1] = sum over j of (L^p)_{ij}, by the recursion on
+    every site (no relabelling)."""
+    L = ws.lax(kind, "L")
+    rows = [[ws.ctx.identity()] * ws.N]
+    for _ in range(top):
+        rows.append([sum((L[i][k].mul(rows[-1][k]) for k in range(ws.N)),
+                         ws.ctx.zero()) for i in range(ws.N)])
+    return rows
+
+
+# the largest row degree p + 2s - 2 checked on each context; on three
+# sites the spin rows of degree 5 to 7 take tens of seconds to build
+_ROW_CONTEXTS = {(1, 1, 2): 7, (0, 2, 2): 7, (2, 1, 2): 7, (1, 1, 3): 4}
+
+
+@pytest.mark.parametrize("nmN", sorted(_ROW_CONTEXTS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_rows_match_their_definitions(nmN):
+    ws = ModelWorkspace(*nmN)
+    top = _ROW_CONTEXTS[nmN]
+    for kind in (TRIG, RATIONAL):
+        rows = _direct_rows(ws, kind, top if kind == RATIONAL else 3)
+        for p in range(4):
+            for i in range(1, ws.N + 1):
+                assert ws._row_sum(kind, p, i) == rows[p][i - 1], (kind, p, i)
+    x2 = ws.x_squared()
+    for s in (1, 2, 3):
+        for p in range(4):
+            if p + 2 * s - 2 > top:
+                continue
+            for i in range(1, ws.N + 1):
+                # the spin recursion run on row i itself
+                want = rows[p + 2 * s - 2][i - 1]
+                for k in range(2, s + 1):
+                    want = x2.bracket(want).scale(
+                        Fraction(1, 2 * (p + 2 * (s - k) + k)))
+                assert ws._spin_row(s, p, i) == want, (s, p, i)
+
+
+@pytest.mark.parametrize("nmN", sorted(_ROW_CONTEXTS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_colored_spin_generators_follow_the_bracket_recursion(nmN):
+    ws = ModelWorkspace(*nmN)
+    x2 = ws.x_squared()
+    for s in (2, 3):
+        for p in range(4):
+            if p + 2 * s - 2 > _ROW_CONTEXTS[nmN]:
+                continue
+            for a in ws.colors():
+                for b in ws.colors():
+                    prev = ws.q_gen(s - 1, p + 2, a, b)
+                    want = x2.bracket(prev).scale(Fraction(1, 2 * (p + s)))
+                    assert ws.q_gen(s, p, a, b) == want, (s, p, a, b)
+
+
+def test_colored_spin_brackets_run_once_on_site_one_rows(monkeypatch):
+    calls = []
+    bracket = OperatorSum.bracket
+
+    def counting_bracket(self, other, min_deriv=None):
+        calls.append(other)
+        return bracket(self, other, min_deriv)
+
+    monkeypatch.setattr(OperatorSum, "bracket", counting_bracket)
+    ws = ModelWorkspace(1, 1, 2)
+    ws.q_gen(3, 0, 1, 2)
+    one_pair = len(calls)
+    for a in ws.colors():
+        for b in ws.colors():
+            ws.q_gen(3, 0, a, b)
+    assert len(calls) == one_pair == 2
+    site_one = [ws._spin_row(2, 2, 1), ws._spin_row(1, 4, 1)]
+    assert all(any(op is row for row in site_one) for op in calls)

@@ -580,3 +580,64 @@ def test_diagonal_operators_that_do_not_multiply_take_two_products(
                 assert g.bracket(q, cut) == want
                 assert q.bracket(g, cut) == -want
                 assert len(mul_calls) == 4
+
+
+# -- site relabelling ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def three_site_contexts():
+    return (AlgebraContext(1, 1, 3), AlgebraContext(1, 2, 3))
+
+
+def test_relabel_is_an_automorphism(three_site_contexts):
+    for ctx in three_site_contexts:
+        rng = random.Random(113)
+        for pa, pb in ((0, 0), (0, 1), (1, 1)):
+            a = spin_operand(ctx, rng, pa)
+            b = spin_operand(ctx, rng, pb)
+            ab, br = a.mul(b), a.bracket(b)
+            for sigma in itertools.permutations((1, 2, 3)):
+                ra, rb = a.relabel(sigma), b.relabel(sigma)
+                assert ab.relabel(sigma) == ra.mul(rb), (ctx, sigma)
+                assert br.relabel(sigma) == ra.bracket(rb), (ctx, sigma)
+
+
+def test_relabel_renames_units_and_swaps(three_site_contexts):
+    for ctx in three_site_contexts:
+        f = ctx.field
+        colors = ctx.grading.colors
+        for sigma in itertools.permutations((1, 2, 3)):
+            for i in (1, 2, 3):
+                si = sigma[i - 1]
+                dv, dw = [0, 0, 0], [0, 0, 0]
+                dv[i - 1] = dw[si - 1] = 2
+                for a in colors:
+                    for b in colors:
+                        assert ctx.unit(i, a, b).relabel(sigma) \
+                            == ctx.unit(si, a, b)
+                        assert ctx.unit(i, a, b, coeff=f.omega(i, 1 + i % 3),
+                                        deriv=dv).relabel(sigma) \
+                            == ctx.unit(si, a, b, deriv=dw,
+                                        coeff=f.omega(si, sigma[i % 3]))
+            for i, j in itertools.permutations((1, 2, 3), 2):
+                assert ctx.swap(i, j).relabel(sigma) \
+                    == ctx.swap(sigma[i - 1], sigma[j - 1])
+
+
+def test_relabel_keeps_shared_coefficients_shared(A11):
+    f = A11.field
+    x1, x2 = f.x(1), f.x(2)
+    op = A11.scalar(f.omega(1, 2) * x2) \
+        + A11.unit(1, 1, 2, coeff=x1) + A11.unit(2, 2, 1, coeff=x1)
+    assert len({id(g) for g in op.terms.values()}) == 2
+    image = op.relabel((2, 1))
+    assert image == A11.scalar(f.omega(2, 1) * x1) \
+        + A11.unit(2, 1, 2, coeff=x2) + A11.unit(1, 2, 1, coeff=x2)
+    assert len({id(g) for g in image.terms.values()}) == 2
+
+
+@pytest.mark.parametrize("sigma", [(1,), (1, 1), (2, 3), (0, 1), (1, 2, 3)])
+def test_relabel_needs_a_permutation_of_the_sites(A11, sigma):
+    with pytest.raises(ValueError):
+        A11.deriv(1).relabel(sigma)

@@ -208,6 +208,20 @@ def test_pow_matches_sympy(sample, k):
     check(J, a ** k, (G ** k, H ** k) if k else (J.R.one, J.R.one))
 
 
+@REFERENCE
+@given(samples(1), st.data())
+def test_relabel_matches_sympy(sample, data):
+    J, (a,) = sample
+    N = J.field.N
+    sigma = data.draw(st.permutations(range(1, N + 1)))
+    xs = J.gens[:N]
+    renamed = [(xs[k], xs[s - 1]) for k, s in enumerate(sigma)]
+    G, H = (p.compose(renamed) for p in J.pair(a))
+    image = a.relabel(sigma)
+    check(J, image, (G, H))
+    assert image == J.frac(G, H)
+
+
 # -- the gcd -----------------------------------------------------------------
 
 
