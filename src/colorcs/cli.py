@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .errors import CapExceededError, UnknownNameError
+from .errors import CapExceededError, PoleError, UnknownNameError
 from .models import ModelWorkspace
 from .verify import (
     CASES,
@@ -166,14 +166,18 @@ def load_manifest(path=None):
     return doc
 
 
-def _print_operator(args, context, parser):
+def _print_operator(args, context, lam, parser):
     ws = ModelWorkspace(*context)
     try:
         with ws.ctx.field.arithmetic_memo():
             op = ws.build(args.print_operator)
+            if lam is not None:
+                op = op.substitute_lambda(lam)
     except UnknownNameError as exc:
         # a KeyError's str() quotes its message
         parser.error(exc.args[0])
+    except PoleError as exc:
+        parser.error(f"{args.print_operator!r} at --lambda {lam}: {exc}")
     except (ValueError, CapExceededError) as exc:
         parser.error(f"cannot build {args.print_operator!r}: {exc}")
     print(op.to_str())
@@ -267,11 +271,11 @@ def main(argv=None):
         return EXIT_OK
 
     contexts = _parse_contexts(args, parser)
+    lam = _parse_lambda(args.lam, parser)
     if args.print_operator is not None:
-        return _print_operator(args, contexts[0], parser)
+        return _print_operator(args, contexts[0], lam, parser)
 
     cases = _parse_cases(args.cases, parser)
-    lam = _parse_lambda(args.lam, parser)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     if args.max_spin < 1:

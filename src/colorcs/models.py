@@ -10,20 +10,20 @@ arguments), so repeated requests (the verifier loops over thousands of
 color tuples) cost one dict lookup.  Operators are never mutated after
 construction, so handing every caller the same object is safe.
 
-Two rules keep each generator row from being built twice:
+Each spin family has one builder, and each generator row is built once:
 
   * A colored generator is sum_i e(i,a,b) times a color-blind row at
-    site i, and the spin recursion brackets with x^2 = sum_i x_i^2, which
-    is even and color-blind, so [x^2, e(i,a,b) R] = e(i,a,b) [x^2, R].
-    Q_{s,p} therefore runs its brackets on the rows (``_spin_row``), once
-    for all dim^2 color pairs.
+    site i (``_colored``), and x^2 = sum_i x_i^2 is even and color-blind,
+    so [x^2, e(i,a,b) R] = e(i,a,b) [x^2, R].  W_{s,p} and Q_{s,p} are
+    therefore both built from the rows ``_spin_row(s, p, i)``, the closed
+    form ad_{x^2}^{s-1} of row i of L^(p+2s-2) over
+    2^{s-1} (p+s)_{s-1}, bracketed once for all dim^2 color pairs.
+    The bracket recursion of eqs. 3.31 and 3.32 is checked against these
+    builds, not used to make them.
   * The Lax entries of both kinds and x^2 are natural under renaming the
-    sites, so row i of L^p and of the spin recursion is row 1's image
+    sites, so row i of L^p and of the spin closed form is row 1's image
     under the swap of sites 1 and i (``OperatorSum.relabel``); only row 1
     is built by products and brackets.
-
-``w_gen``, ``w_closed`` and ``q_closed`` keep their direct builds: the
-identities compare the recursions with the closed forms.
 
 Site indices are 1-based, color indices run 1..n+m.
 """
@@ -204,6 +204,14 @@ class ModelWorkspace:
             op = op + lax[i - 1][k - 1].mul(self._row_sum(kind, p - 1, k))
         return op
 
+    def _colored(self, a: int, b: int, row) -> OperatorSum:
+        """sum_i e(i,a,b) row(i), a color-blind row family dressed with
+        the color pair (a, b)."""
+        op = self.ctx.zero()
+        for i in range(1, self.N + 1):
+            op = op + self.unit(i, a, b).mul(row(i))
+        return op
+
     # -- Yangian generators --------------------------------------------------
 
     @_memoized
@@ -211,10 +219,7 @@ class ModelWorkspace:
         """T_p with color indices (a, b), built from the trigonometric Lax."""
         if p < 0:
             raise ValueError("use t_minus1 for the formal level -1 unit")
-        op = self.ctx.zero()
-        for i in range(1, self.N + 1):
-            op = op + self.unit(i, a, b).mul(self._row_sum(TRIG, p, i))
-        return op
+        return self._colored(a, b, lambda i: self._row_sum(TRIG, p, i))
 
     def t_minus1(self, a: int, b: int, graded: bool = True) -> OperatorSum:
         """Formal level -1 generator: a multiple of delta_ab / lambda.
@@ -240,10 +245,7 @@ class ModelWorkspace:
         """J_p with color indices (a, b), built from the rational Lax."""
         if p < 0:
             raise ValueError("loop degree must be nonnegative")
-        op = self.ctx.zero()
-        for i in range(1, self.N + 1):
-            op = op + self.unit(i, a, b).mul(self._row_sum(RATIONAL, p, i))
-        return op
+        return self._colored(a, b, lambda i: self._row_sum(RATIONAL, p, i))
 
     @_memoized
     def loop_K(self, p: int, a: int, b: int) -> OperatorSum:
@@ -483,23 +485,15 @@ class ModelWorkspace:
 
     @_memoized
     def w_gen(self, s: int, p: int) -> OperatorSum:
-        """Spin-s scalar generator by the bracket recursion."""
+        """Spin-s scalar generator: the spin-1 seed, or the sum of the
+        spin rows over the sites."""
         self._check_spin(s, p)
         if s == 1:
             return self.j_scalar(p)
-        prev = self.w_gen(s - 1, p + 2)
-        return self.x_squared().bracket(prev).scale(Fraction(1, 2 * (p + s)))
-
-    @_memoized
-    def w_closed(self, s: int, p: int) -> OperatorSum:
-        """Spin-s scalar generator in one shot: nested brackets with a
-        single rising-factorial prefactor."""
-        self._check_spin(s, p)
-        op = self.j_scalar(p + 2 * s - 2)
-        x2 = self.x_squared()
-        for _ in range(s - 1):
-            op = x2.bracket(op)
-        return op.scale(Fraction(1, (2 ** (s - 1)) * _pochhammer(p + s, s - 1)))
+        op = self.ctx.zero()
+        for i in range(1, self.N + 1):
+            op = op + self._spin_row(s, p, i)
+        return op
 
     @_memoized
     def w_leading(self, s: int, p: int) -> OperatorSum:
@@ -513,36 +507,29 @@ class ModelWorkspace:
 
     @_memoized
     def _spin_row(self, s: int, p: int, i: int) -> OperatorSum:
-        """Site i's color-blind part of Q_{s,p}: the bracket recursion
-        run on row i of L^p, built at site 1 and renamed to site i."""
+        """Site i's color-blind part of W_{s,p} and Q_{s,p}: the closed
+        form ad_{x^2}^{s-1} of row i of L^(p+2s-2), over a single
+        rising-factorial prefactor, built at site 1 and renamed to
+        site i."""
         self._check_spin(s, p)
         if s == 1:
             return self._row_sum(RATIONAL, p, i)
         if i > 1:
             return self._site_image(i, self._spin_row(s, p, 1))
-        prev = self._spin_row(s - 1, p + 2, 1)
-        return self.x_squared().bracket(prev).scale(Fraction(1, 2 * (p + s)))
-
-    @_memoized
-    def q_gen(self, s: int, p: int, a: int, b: int) -> OperatorSum:
-        """Spin-s colored generator by the bracket recursion, which runs
-        on the color-blind site rows (``_spin_row``)."""
-        self._check_spin(s, p)
-        if s == 1:
-            return self.loop_J(p, a, b)
-        op = self.ctx.zero()
-        for i in range(1, self.N + 1):
-            op = op + self.unit(i, a, b).mul(self._spin_row(s, p, i))
-        return op
-
-    @_memoized
-    def q_closed(self, s: int, p: int, a: int, b: int) -> OperatorSum:
-        self._check_spin(s, p)
-        op = self.loop_J(p + 2 * s - 2, a, b)
+        op = self._row_sum(RATIONAL, p + 2 * s - 2, 1)
         x2 = self.x_squared()
         for _ in range(s - 1):
             op = x2.bracket(op)
         return op.scale(Fraction(1, (2 ** (s - 1)) * _pochhammer(p + s, s - 1)))
+
+    @_memoized
+    def q_gen(self, s: int, p: int, a: int, b: int) -> OperatorSum:
+        """Spin-s colored generator: the loop generator J_p at spin 1,
+        else the spin rows dressed with the color pair (a, b)."""
+        self._check_spin(s, p)
+        if s == 1:
+            return self.loop_J(p, a, b)
+        return self._colored(a, b, lambda i: self._spin_row(s, p, i))
 
     @_memoized
     def q_leading(self, s: int, p: int, a: int, b: int) -> OperatorSum:
@@ -618,9 +605,7 @@ class ModelWorkspace:
             "Pt": (4, self.tensor_P),
             "Q1": (2, self.q1_family),
             "W": (2, self.w_gen),
-            "Wcl": (2, self.w_closed),
             "Q": (4, self.q_gen),
-            "Qcl": (4, self.q_closed),
             "Q0": (4, self.q_free),
             "Lc": (2, lambda i, j: self._entry(RATIONAL, "L", i, j)),
             "Ls": (2, lambda i, j: self._entry(TRIG, "L", i, j)),

@@ -596,22 +596,31 @@ def _unification_case(with_plain_bracket: bool):
     return gen
 
 
-def _recursion_instances(ws, cfg, prev, closed, leading, tag):
-    """One recursion step as an expression tree, plus its leading symbol."""
+def _recursion_instances(ws, cfg, gen, seed, leading, tag):
+    """One bracket recursion step W_{s,q} = [x^2, W_{s-1,q+2}] / (2(q+s))
+    on the built generators, plus its leading symbol.
+
+    The builders make every spin generator as its closed form on
+    color-blind site rows; this step brackets the summed (or colored)
+    generator instead, so the two sides meet only if the closed form's
+    prefactors 1/(2^{s-1} (q+s)_{s-1}) differ by exactly 2(q+s) from one
+    spin to the next.  The oracle applies both sides to probes and never
+    sees how either was built.  At s = 1 the generator is compared with
+    its spin-1 seed."""
     x2 = Leaf(ws.x_squared())
     for s in range(1, cfg.max_spin + 1):
         for q in range(0, cfg.max_degree + 1):
             if s == 1:
                 yield Instance(f"closed s=1 p={q}{tag}",
-                               Leaf(prev(1, q)), Leaf(closed(1, q)))
+                               Leaf(gen(1, q)), Leaf(seed(q)))
                 yield Instance(f"leading s=1 p={q}{tag}",
-                               Leaf(prev(1, q).filtered(q)),
+                               Leaf(gen(1, q).filtered(q)),
                                Leaf(leading(1, q)))
                 continue
-            step = Bracket(x2, Leaf(prev(s - 1, q + 2)))
+            step = Bracket(x2, Leaf(gen(s - 1, q + 2)))
             yield Instance(f"closed s={s} p={q}{tag}",
                            Scale(step, Fraction(1, 2 * (q + s))),
-                           Leaf(closed(s, q)))
+                           Leaf(gen(s, q)))
             yield Instance(f"leading s={s} p={q}{tag}", step,
                            Scale(Leaf(leading(s, q)), 2 * (q + s)),
                            dexp=q + s - 1)
@@ -619,7 +628,7 @@ def _recursion_instances(ws, cfg, prev, closed, leading, tag):
 
 def _case_spin_recursion_scalar(ws, cfg):
     yield from _recursion_instances(
-        ws, cfg, ws.w_gen, ws.w_closed, ws.w_leading, "")
+        ws, cfg, ws.w_gen, ws.j_scalar, ws.w_leading, "")
 
 
 def _case_spin_recursion_color(ws, cfg):
@@ -627,7 +636,7 @@ def _case_spin_recursion_color(ws, cfg):
         yield from _recursion_instances(
             ws, cfg,
             lambda s, q: ws.q_gen(s, q, a, b),
-            lambda s, q: ws.q_closed(s, q, a, b),
+            lambda q: ws.loop_J(q, a, b),
             lambda s, q: ws.q_leading(s, q, a, b),
             f" ab={a}{b}")
 

@@ -110,6 +110,12 @@ def test_criterion_5_winf_suite():
     print(f"\n[acceptance] spin-tower suite at (1,1,3): {elapsed:.1f}s")
     _assert_all_pass(reports, "three-site spin-tower suite")
     assert not compare_to_manifest(reports, cli.load_manifest(), cfg)
+    # spin 3 at three sites, where the closed form is a double bracket
+    reports, elapsed, cfg = _run(("eq3.31", "eq3.32"), [(1, 1, 3)],
+                                 max_spin=3, max_degree=0)
+    print(f"\n[acceptance] spin-3 recursion at (1,1,3): {elapsed:.1f}s")
+    _assert_all_pass(reports, "three-site spin-3 recursion")
+    assert not compare_to_manifest(reports, cli.load_manifest(), cfg)
 
 
 def test_criterion_6_double_entry_everywhere(graded_catalog):

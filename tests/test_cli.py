@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -79,6 +80,31 @@ def test_print_operator(capsys):
     ws = ModelWorkspace(1, 1, 2)
     with ws.ctx.field.arithmetic_memo():
         assert out == ws.build("T[1,1,2]").to_str() + "\n"
+
+
+def test_print_operator_at_a_numeric_coupling(capsys):
+    rc = cli.main(["--print-operator", "H_c", "--contexts", "1,1,2",
+                   "--lambda", "3/2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "lam" not in out
+    ws = ModelWorkspace(1, 1, 2)
+    with ws.ctx.field.arithmetic_memo():
+        want = ws.build("H_c").substitute_lambda(Fraction(3, 2))
+    assert out == want.to_str() + "\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--print-operator", "H_c", "--lambda", "pi"], "bad coupling 'pi'"),
+    (["--print-operator", "Tm1[1,1]", "--lambda", "0"], "pole"),
+])
+def test_print_operator_rejects_a_bad_coupling(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--contexts", "1,1,2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr()
+    assert message in err.err.splitlines()[-1]
+    assert err.out == ""
 
 
 @pytest.mark.parametrize("contexts", [None, "default", "1,1,2;2,0,2"])

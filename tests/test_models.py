@@ -222,14 +222,6 @@ def test_two_parameter_tensor_restricts_to_plain_one(ws112):
                     assert fixed == ws.tensor_O(a, b, c, d)
 
 
-def test_spin_recursion_agrees_with_closed_form(ws112):
-    ws = ws112
-    for s in (1, 2, 3):
-        for p in (0, 1, 2):
-            assert ws.w_gen(s, p) == ws.w_closed(s, p)
-    assert ws.q_gen(2, 1, 1, 2) == ws.q_closed(2, 1, 1, 2)
-
-
 def test_spin_two_prefactor(ws112):
     ws = ws112
     raw = ws.x_squared().bracket(ws.j_scalar(3))
@@ -310,7 +302,7 @@ def test_registry_resolves_names(ws112):
 @pytest.mark.parametrize("bad", [
     "", "Zz", "T", "T[1]", "T[1,2]", "T[1,1,2,3]", "T[x,1,1]",
     "E[9,1,1]", "E[1,7,1]", "W[0,1]", "W[1,-1]", "Lc[3,1]", "H_c[1]",
-    "Tm1[9,8]", "Tm1_plain[9,9]", "Tm1[1,7]",
+    "Tm1[9,8]", "Tm1_plain[9,9]", "Tm1[1,7]", "Wcl[2,1]", "Qcl[2,0,1,2]",
 ])
 def test_registry_rejects_bad_names(ws112, bad):
     with pytest.raises(UnknownNameError):
@@ -339,10 +331,8 @@ _MEMOIZED = {
     "q1_family": (1, 2),
     "x_squared": (),
     "w_gen": (2, 1),
-    "w_closed": (2, 1),
     "w_leading": (2, 1),
     "q_gen": (2, 0, 1, 2),
-    "q_closed": (2, 0, 1, 2),
     "q_leading": (2, 0, 1, 2),
     "q_free": (2, 1, 2, 1),
 }
@@ -423,16 +413,35 @@ def test_rows_match_their_definitions(nmN):
 @pytest.mark.parametrize("nmN", sorted(_ROW_CONTEXTS),
                          ids=lambda c: "-".join(map(str, c)))
 def test_colored_spin_generators_follow_the_bracket_recursion(nmN):
+    # the builders make W and Q as closed forms on site-1 rows; the
+    # reference runs the bracket recursion on the summed and colored
+    # generators from their spin-1 seeds
     ws = ModelWorkspace(*nmN)
     x2 = ws.x_squared()
-    for s in (2, 3):
+    ref = {}
+
+    def recursion(s, p, seed):
+        key = (s, p, seed)
+        if key not in ref:
+            if s == 1:
+                ref[key] = seed(p)
+            else:
+                ref[key] = x2.bracket(recursion(s - 1, p + 2, seed)) \
+                    .scale(Fraction(1, 2 * (p + s)))
+        return ref[key]
+
+    seeds = {(): ws.j_scalar}
+    for a in ws.colors():
+        for b in ws.colors():
+            seeds[a, b] = lambda p, a=a, b=b: ws.loop_J(p, a, b)
+    for s in (1, 2, 3):
         for p in range(4):
             if p + 2 * s - 2 > _ROW_CONTEXTS[nmN]:
                 continue
+            assert ws.w_gen(s, p) == recursion(s, p, seeds[()]), (s, p)
             for a in ws.colors():
                 for b in ws.colors():
-                    prev = ws.q_gen(s - 1, p + 2, a, b)
-                    want = x2.bracket(prev).scale(Fraction(1, 2 * (p + s)))
+                    want = recursion(s, p, seeds[a, b])
                     assert ws.q_gen(s, p, a, b) == want, (s, p, a, b)
 
 
@@ -441,8 +450,9 @@ def test_colored_spin_brackets_run_once_on_site_one_rows(monkeypatch):
     bracket = OperatorSum.bracket
 
     def counting_bracket(self, other, min_deriv=None):
-        calls.append(other)
-        return bracket(self, other, min_deriv)
+        out = bracket(self, other, min_deriv)
+        calls.append((other, out))
+        return out
 
     monkeypatch.setattr(OperatorSum, "bracket", counting_bracket)
     ws = ModelWorkspace(1, 1, 2)
@@ -451,6 +461,9 @@ def test_colored_spin_brackets_run_once_on_site_one_rows(monkeypatch):
     for a in ws.colors():
         for b in ws.colors():
             ws.q_gen(3, 0, a, b)
+    ws.w_gen(3, 0)
     assert len(calls) == one_pair == 2
-    site_one = [ws._spin_row(2, 2, 1), ws._spin_row(1, 4, 1)]
-    assert all(any(op is row for row in site_one) for op in calls)
+    # ad_{x^2}^2 of row 1 of L^4: the second bracket takes the first's result
+    (first, once), (second, _) = calls
+    assert first is ws._row_sum(RATIONAL, 4, 1)
+    assert second is once

@@ -150,6 +150,22 @@ def test_leading_order_case_passes(ws112):
     assert rep.oracle_agrees
 
 
+@pytest.mark.parametrize("case_id", ["eq3.31", "eq3.32"])
+def test_recursion_cases_catch_a_wrong_spin_three_prefactor(
+        case_id, monkeypatch):
+    # the builders make W and Q as closed forms; eq3.31 and eq3.32 bracket
+    # the built spin-2 generators, so a spin-3 prefactor off by one fails
+    from colorcs import models
+
+    pochhammer = models._pochhammer
+    monkeypatch.setattr(models, "_pochhammer",
+                        lambda a, k: pochhammer(a, k) + (k == 2))
+    ws = ModelWorkspace(1, 1, 2)
+    rep = run_one(ws, case_id, max_spin=3, max_degree=0)
+    assert rep.verdict == "fail"
+    assert rep.oracle_agrees
+
+
 def test_numeric_coupling_substitution(ws112):
     rep = run_one(ws112, "eq3.3", lam=Fraction(3, 2))
     assert rep.verdict == "pass"
