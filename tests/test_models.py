@@ -222,6 +222,41 @@ def test_two_parameter_tensor_restricts_to_plain_one(ws112):
                     assert fixed == ws.tensor_O(a, b, c, d)
 
 
+def _spin_recursion(ws):
+    """The bracket recursion W_{s,p} = [x^2, W_{s-1,p+2}] / (2(p+s)) run
+    from the spin-1 seeds j_scalar and loop_J, as references for w_gen
+    and q_gen."""
+    x2 = ws.x_squared()
+    ref = {}
+
+    def recursion(s, p, seed):
+        key = (s, p, seed)
+        if key not in ref:
+            if s == 1:
+                ref[key] = seed(p)
+            else:
+                ref[key] = x2.bracket(recursion(s - 1, p + 2, seed)) \
+                    .scale(Fraction(1, 2 * (p + s)))
+        return ref[key]
+
+    seeds = {(): ws.j_scalar}
+    for a in ws.colors():
+        for b in ws.colors():
+            seeds[a, b] = lambda p, a=a, b=b: ws.loop_J(p, a, b)
+    return (lambda s, p: recursion(s, p, seeds[()]),
+            lambda s, p, a, b: recursion(s, p, seeds[a, b]))
+
+
+def test_spin_recursion_agrees_with_closed_form(ws112):
+    # w_gen and q_gen are closed forms on site-1 rows
+    ws = ws112
+    w_ref, q_ref = _spin_recursion(ws)
+    for s in (1, 2, 3):
+        for p in (0, 1, 2):
+            assert ws.w_gen(s, p) == w_ref(s, p), (s, p)
+    assert ws.q_gen(2, 1, 1, 2) == q_ref(2, 1, 1, 2)
+
+
 def test_spin_two_prefactor(ws112):
     ws = ws112
     raw = ws.x_squared().bracket(ws.j_scalar(3))
@@ -417,31 +452,15 @@ def test_colored_spin_generators_follow_the_bracket_recursion(nmN):
     # reference runs the bracket recursion on the summed and colored
     # generators from their spin-1 seeds
     ws = ModelWorkspace(*nmN)
-    x2 = ws.x_squared()
-    ref = {}
-
-    def recursion(s, p, seed):
-        key = (s, p, seed)
-        if key not in ref:
-            if s == 1:
-                ref[key] = seed(p)
-            else:
-                ref[key] = x2.bracket(recursion(s - 1, p + 2, seed)) \
-                    .scale(Fraction(1, 2 * (p + s)))
-        return ref[key]
-
-    seeds = {(): ws.j_scalar}
-    for a in ws.colors():
-        for b in ws.colors():
-            seeds[a, b] = lambda p, a=a, b=b: ws.loop_J(p, a, b)
+    w_ref, q_ref = _spin_recursion(ws)
     for s in (1, 2, 3):
         for p in range(4):
             if p + 2 * s - 2 > _ROW_CONTEXTS[nmN]:
                 continue
-            assert ws.w_gen(s, p) == recursion(s, p, seeds[()]), (s, p)
+            assert ws.w_gen(s, p) == w_ref(s, p), (s, p)
             for a in ws.colors():
                 for b in ws.colors():
-                    want = recursion(s, p, seeds[a, b])
+                    want = q_ref(s, p, a, b)
                     assert ws.q_gen(s, p, a, b) == want, (s, p, a, b)
 
 
