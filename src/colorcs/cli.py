@@ -270,11 +270,10 @@ def main(argv=None):
             print(f"{cid:<18} {case.suite:<14} {case.title}")
         return EXIT_OK
 
+    # every option is checked before anything runs or prints, so an
+    # option --print-operator does not read is still a usage error
     contexts = _parse_contexts(args, parser)
     lam = _parse_lambda(args.lam, parser)
-    if args.print_operator is not None:
-        return _print_operator(args, contexts[0], lam, parser)
-
     cases = _parse_cases(args.cases, parser)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
@@ -291,6 +290,8 @@ def main(argv=None):
         # ValueError covers malformed JSON and a document of the wrong shape
         parser.error(f"cannot read manifest: {exc}")
 
+    if args.print_operator is not None:
+        return _print_operator(args, contexts[0], lam, parser)
     cfg = RunConfig(
         contexts=contexts, cases=cases, lam=lam, seed=args.seed,
         max_spin=args.max_spin, max_degree=args.max_degree,

@@ -10,7 +10,8 @@ arguments), so repeated requests (the verifier loops over thousands of
 color tuples) cost one dict lookup.  Operators are never mutated after
 construction, so handing every caller the same object is safe.
 
-Each spin family has one builder, and each generator row is built once:
+Each spin family has one builder, each generator row is built once, and
+a build makes only the derivative degrees its caller reads:
 
   * A colored generator is sum_i e(i,a,b) times a color-blind row at
     site i (``_colored``), and x^2 = sum_i x_i^2 is even and color-blind,
@@ -24,6 +25,20 @@ Each spin family has one builder, and each generator row is built once:
     sites, so row i of L^p and of the spin closed form is row 1's image
     under the swap of sites 1 and i (``OperatorSum.relabel``); only row 1
     is built by products and brackets.
+  * The generator builders (``_row_sum``, ``_spin_row``, ``j_scalar``,
+    ``loop_J``, ``w_gen``, ``q_gen``) take a derivative cut: a build at
+    ``cut=c`` is exactly the full build's terms at derivative degree
+    >= c, zero once c passes the top degree, and a leading-order verdict
+    asks for its right side there.  The cut propagates by two rules,
+    both from "Leibniz only lowers the degree" (see ``operators``).
+    Entries of L have derivative degree <= 1, so row i of L^p at c is
+    sum_k L_ik (row k of L^(p-1) at c - 1), each product truncated at c.
+    ad_{x^2} lowers the degree by 1 or 2, so the spin row at c needs the
+    row of L^(p+2s-2) at c + s - 1, and the k-th bracket is truncated at
+    c + s - 1 - k.  Dressing a row with e(i,a,b) and renaming its sites
+    keep degrees, so they pass the cut through.  Cut 0 is the full build
+    under its usual memo key; a cut build is memoized under
+    (name, args, cut).
 
 Site indices are 1-based, color indices run 1..n+m.
 """
@@ -51,18 +66,23 @@ def _pochhammer(a: int, k: int) -> int:
 
 
 def _memoized(build):
-    """Cache a builder's result on the workspace under (name, args).
+    """Cache a builder's result on the workspace under (name, args), and
+    a build with a derivative cut under (name, args, cut).
 
-    The builder runs, argument checks included, before anything is
-    stored, so a builder that raises leaves no entry."""
+    A cut of 0 or less keeps every term: it is the full build, under the
+    full build's key.  The builder runs, argument checks included, before
+    anything is stored, so a builder that raises leaves no entry."""
     name = build.__name__
 
     @functools.wraps(build)
-    def cached(self, *args):
-        key = (name, args)
+    def cached(self, *args, cut=0):
+        if cut > 0:
+            key, kw = (name, args, cut), {"cut": cut}
+        else:
+            key, kw = (name, args), {}
         op = self._memo.get(key)
         if op is None:
-            op = self._memo[key] = build(self, *args)
+            op = self._memo[key] = build(self, *args, **kw)
         return op
 
     return cached
@@ -184,24 +204,26 @@ class ModelWorkspace:
         return op.relabel(sigma)
 
     @_memoized
-    def _row_sum(self, kind: str, p: int, i: int) -> OperatorSum:
+    def _row_sum(self, kind: str, p: int, i: int, cut: int = 0) -> OperatorSum:
         """Sum over j of (L^p)_{ij}; shared by every color pair.
 
         The row sums of L^p are the vector L^p 1, so they follow from
         those of L^(p-1) as sum_k L_ik (row sum k of L^(p-1)), with N
         products per entry instead of N^2 for the whole matrix power.
         Only row 1 is built that way; row i is its image under the swap
-        of sites 1 and i."""
+        of sites 1 and i.  At a cut, each product is truncated there and
+        takes the rows of L^(p-1) at cut - 1."""
         if p < 0:
             raise ValueError("matrix power must be nonnegative")
         if p == 0:
-            return self.ctx.identity()
+            return self.ctx.zero() if cut else self.ctx.identity()
         if i > 1:
-            return self._site_image(i, self._row_sum(kind, p, 1))
+            return self._site_image(i, self._row_sum(kind, p, 1, cut=cut))
         lax = self._lax_matrix(kind, "L")
         op = self.ctx.zero()
         for k in range(1, self.N + 1):
-            op = op + lax[i - 1][k - 1].mul(self._row_sum(kind, p - 1, k))
+            row = self._row_sum(kind, p - 1, k, cut=cut - 1)
+            op = op + lax[i - 1][k - 1].mul(row, cut or None)
         return op
 
     def _colored(self, a: int, b: int, row) -> OperatorSum:
@@ -241,11 +263,12 @@ class ModelWorkspace:
     # -- loop generators -------------------------------------------------------
 
     @_memoized
-    def loop_J(self, p: int, a: int, b: int) -> OperatorSum:
+    def loop_J(self, p: int, a: int, b: int, cut: int = 0) -> OperatorSum:
         """J_p with color indices (a, b), built from the rational Lax."""
         if p < 0:
             raise ValueError("loop degree must be nonnegative")
-        return self._colored(a, b, lambda i: self._row_sum(RATIONAL, p, i))
+        return self._colored(
+            a, b, lambda i: self._row_sum(RATIONAL, p, i, cut=cut))
 
     @_memoized
     def loop_K(self, p: int, a: int, b: int) -> OperatorSum:
@@ -259,13 +282,13 @@ class ModelWorkspace:
         return op
 
     @_memoized
-    def j_scalar(self, p: int) -> OperatorSum:
+    def j_scalar(self, p: int, cut: int = 0) -> OperatorSum:
         """Colorless total sum of (I^p)_{ij}; spin-1 seed of the W family."""
         if p < 0:
             raise ValueError("loop degree must be nonnegative")
         op = self.ctx.zero()
         for i in range(1, self.N + 1):
-            op = op + self._row_sum(RATIONAL, p, i)
+            op = op + self._row_sum(RATIONAL, p, i, cut=cut)
         return op
 
     # -- signed color contractions --------------------------------------------
@@ -484,15 +507,15 @@ class ModelWorkspace:
         return self.ctx.scalar(tot)
 
     @_memoized
-    def w_gen(self, s: int, p: int) -> OperatorSum:
+    def w_gen(self, s: int, p: int, cut: int = 0) -> OperatorSum:
         """Spin-s scalar generator: the spin-1 seed, or the sum of the
         spin rows over the sites."""
         self._check_spin(s, p)
         if s == 1:
-            return self.j_scalar(p)
+            return self.j_scalar(p, cut=cut)
         op = self.ctx.zero()
         for i in range(1, self.N + 1):
-            op = op + self._spin_row(s, p, i)
+            op = op + self._spin_row(s, p, i, cut=cut)
         return op
 
     @_memoized
@@ -506,30 +529,34 @@ class ModelWorkspace:
         return op
 
     @_memoized
-    def _spin_row(self, s: int, p: int, i: int) -> OperatorSum:
+    def _spin_row(self, s: int, p: int, i: int, cut: int = 0) -> OperatorSum:
         """Site i's color-blind part of W_{s,p} and Q_{s,p}: the closed
         form ad_{x^2}^{s-1} of row i of L^(p+2s-2), over a single
         rising-factorial prefactor, built at site 1 and renamed to
-        site i."""
+        site i.  At a cut c the row is taken at c + s - 1 and the k-th
+        bracket is truncated at c + s - 1 - k."""
         self._check_spin(s, p)
         if s == 1:
-            return self._row_sum(RATIONAL, p, i)
+            return self._row_sum(RATIONAL, p, i, cut=cut)
         if i > 1:
-            return self._site_image(i, self._spin_row(s, p, 1))
-        op = self._row_sum(RATIONAL, p + 2 * s - 2, 1)
+            return self._site_image(i, self._spin_row(s, p, 1, cut=cut))
+        op = self._row_sum(RATIONAL, p + 2 * s - 2, 1,
+                           cut=cut + s - 1 if cut else 0)
         x2 = self.x_squared()
-        for _ in range(s - 1):
-            op = x2.bracket(op)
+        for k in range(1, s):
+            op = x2.bracket(op, cut + s - 1 - k if cut else None)
         return op.scale(Fraction(1, (2 ** (s - 1)) * _pochhammer(p + s, s - 1)))
 
     @_memoized
-    def q_gen(self, s: int, p: int, a: int, b: int) -> OperatorSum:
+    def q_gen(self, s: int, p: int, a: int, b: int,
+              cut: int = 0) -> OperatorSum:
         """Spin-s colored generator: the loop generator J_p at spin 1,
         else the spin rows dressed with the color pair (a, b)."""
         self._check_spin(s, p)
         if s == 1:
-            return self.loop_J(p, a, b)
-        return self._colored(a, b, lambda i: self._spin_row(s, p, i))
+            return self.loop_J(p, a, b, cut=cut)
+        return self._colored(
+            a, b, lambda i: self._spin_row(s, p, i, cut=cut))
 
     @_memoized
     def q_leading(self, s: int, p: int, a: int, b: int) -> OperatorSum:

@@ -61,6 +61,15 @@ Outside a memo scope nothing is stored.  A product's word sign is folded
 into its accumulation: a negative pair subtracts from an existing term
 and negates only a new one.
 
+Leibniz only lowers the degree: a term f w d^p times a term g w' d^q is
+the sum over t <= p of C(p, t) f (d^t g) (w w') d^(p+q-t), whose total
+derivative degree |p| + |q| - |t| is at most |p| + |q|.  So the terms of
+a product at degree >= c come only from pairs with |p| + |q| >= c, and
+``mul(other, min_deriv=c)`` skips each Leibniz term with |t| above
+|p| + |q| - c before it takes any derivative; ``bracket`` passes the cut
+to its products.  The leading-order verdicts (``verify.Bracket.top``) and
+the cut builds of the spin generators (``models``) rest on this rule.
+
 ``relabel(sigma)`` renames site k to sigma(k): it permutes each term's
 out, in and derivative tuples and maps each coefficient through
 ``RationalFunction.relabel``, once per distinct coefficient object.  A

@@ -43,6 +43,15 @@ no operator product, so a truncated residual is never checked through the
 by summand and add x for a summand Scale(x, -1), so a right side's
 negated leaves are never built.
 
+A leading-order instance reads its right side only at degree >= its cut,
+so eqs. 3.34-3.36 build their right-side generator at that cut (the
+``cut`` of the ``models`` builders): W or Q_{s+s'-2,p+q}, or
+Q_{s+s'-1,p+q}, holds only its top degree, without the high Lax powers
+and brackets below it.  The left-side generators stay full builds, shared
+with the exact instances.  The oracle is unchanged: it applies the same
+leaves to the probes, and a leaf's terms below the cut reach only probe
+components below the cut, which it drops anyway.
+
 Why one probe per color state suffices: the probe for a basis state c is
 e^(t.x) |c> with formal t_1..t_N, a state {(color tuple, t exponents):
 amplitude} holding 1 at (c, 0).  Since e^(-t.x) d_i e^(t.x) = d_i + t_i,
@@ -168,7 +177,8 @@ class Bracket(Expr):
 
     def top(self, min_deriv: int) -> OperatorSum:
         """Terms of the bracket at derivative degree >= min_deriv, computed
-        with truncated products (sound: Leibniz only lowers the degree)."""
+        with truncated products (sound by the rule in the ``operators``
+        docstring: Leibniz only lowers the degree)."""
         return self.a.operator().bracket(self.b.operator(), min_deriv)
 
     def apply(self, state):
@@ -654,9 +664,9 @@ def _case_spin_bracket_scalar(ws, cfg):
     for s, sp, p, q in _spin_pairs(cfg):
         lhs = Bracket(Leaf(ws.w_gen(s, p)), Leaf(ws.w_gen(sp, q)))
         coeff = (s - 1) * q - (sp - 1) * p
-        rhs = Scale(Leaf(ws.w_gen(s + sp - 2, p + q)), coeff) if coeff \
-            else _zero(ws)
         dexp = (p + s - 1) + (q + sp - 1) - 1
+        rhs = Scale(Leaf(ws.w_gen(s + sp - 2, p + q, cut=dexp)), coeff) \
+            if coeff else _zero(ws)
         yield Instance(f"s={s} s'={sp} p={p} q={q}", lhs, rhs, dexp=dexp)
 
 
@@ -665,9 +675,9 @@ def _case_spin_bracket_mixed(ws, cfg):
         for a, b in _pairs(ws):
             lhs = Bracket(Leaf(ws.w_gen(s, p)), Leaf(ws.q_gen(sp, q, a, b)))
             coeff = (s - 1) * q - (sp - 1) * p
-            rhs = Scale(Leaf(ws.q_gen(s + sp - 2, p + q, a, b)), coeff) \
-                if coeff else _zero(ws)
             dexp = (p + s - 1) + (q + sp - 1) - 1
+            rhs = Scale(Leaf(ws.q_gen(s + sp - 2, p + q, a, b, cut=dexp)),
+                        coeff) if coeff else _zero(ws)
             yield Instance(f"s={s} s'={sp} p={p} q={q} ab={a}{b}",
                            lhs, rhs, dexp=dexp)
 
@@ -677,10 +687,11 @@ def _case_spin_bracket_color(ws, cfg):
         for a, b, c, d in _quads(ws):
             lhs = Bracket(Leaf(ws.q_gen(s, p, a, b)),
                           Leaf(ws.q_gen(sp, q, c, d)))
-            rhs = _loop_rhs(
-                ws, lambda lv, x, y: ws.q_gen(s + sp - 1, p + q, x, y),
-                0, a, b, c, d)
             dexp = (p + s - 1) + (q + sp - 1)
+            rhs = _loop_rhs(
+                ws, lambda lv, x, y: ws.q_gen(s + sp - 1, p + q, x, y,
+                                              cut=dexp),
+                0, a, b, c, d)
             yield Instance(f"s={s} s'={sp} p={p} q={q} abcd={a}{b}{c}{d}",
                            lhs, rhs, dexp=dexp)
 

@@ -116,6 +116,17 @@ def test_criterion_5_winf_suite():
     print(f"\n[acceptance] spin-3 recursion at (1,1,3): {elapsed:.1f}s")
     _assert_all_pass(reports, "three-site spin-3 recursion")
     assert not compare_to_manifest(reports, cli.load_manifest(), cfg)
+    # the leading-order brackets at degree 1, whose right sides are built
+    # only at their top degree: on three sites, and eq3.36 on four
+    for cases, context in ((("eq3.34", "eq3.35", "eq3.36"), (1, 1, 3)),
+                           (("eq3.36",), (1, 1, 4))):
+        reports, elapsed, cfg = _run(cases, [context],
+                                     max_spin=2, max_degree=1)
+        print(f"\n[acceptance] leading-order brackets at {context}: "
+              f"{elapsed:.1f}s")
+        _assert_all_pass(reports, f"leading-order brackets at {context}")
+        assert all(r.oracle_agrees for r in reports)
+        assert not compare_to_manifest(reports, cli.load_manifest(), cfg)
 
 
 def test_criterion_6_double_entry_everywhere(graded_catalog):

@@ -118,6 +118,23 @@ def test_print_operator_needs_exactly_one_context(contexts, capsys):
     assert "--print-operator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--cases", "bogus"],
+    ["--workers", "0"],
+    ["--max-spin", "0"],
+    ["--max-degree", "-1"],
+    ["--term-budget", "0"],
+    ["--manifest", "/nonexistent/manifest.json"],
+    ["--cases", "bogus", "--workers", "0", "--manifest", "/nonexistent"],
+], ids=["cases", "workers", "max-spin", "max-degree", "term-budget",
+        "manifest", "all"])
+def test_print_operator_checks_the_run_options(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--print-operator", "X2", "--contexts", "1,1,2"] + extra)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_rejects_zero_workers(monkeypatch, pass_manifest):
     runs = []
     monkeypatch.setattr(cli, "run_suite", lambda cfg: runs.append(cfg) or [])

@@ -9,6 +9,7 @@ import pytest
 from colorcs.errors import UnknownNameError
 from colorcs.models import RATIONAL, TRIG, ModelWorkspace
 from colorcs.operators import OperatorSum
+from colorcs.verify import CASES, RunConfig, verify_case
 
 
 @pytest.fixture(scope="module")
@@ -486,3 +487,77 @@ def test_colored_spin_brackets_run_once_on_site_one_rows(monkeypatch):
     (first, once), (second, _) = calls
     assert first is ws._row_sum(RATIONAL, 4, 1)
     assert second is once
+
+
+# -- builds with a derivative cut ---------------------------------------------
+
+
+# the largest rational row degree p + 2s - 2 built on each context
+_CUT_CONTEXTS = {(1, 1, 2): 7, (2, 0, 2): 7, (0, 2, 2): 7, (1, 1, 3): 4}
+
+
+@pytest.mark.parametrize("nmN", sorted(_CUT_CONTEXTS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_cut_builds_are_the_full_builds_filtered(nmN):
+    # a build at cut c holds exactly the full build's terms at derivative
+    # degree >= c, and nothing once c passes the top degree
+    ws = ModelWorkspace(*nmN)
+    top_row = _CUT_CONTEXTS[nmN]
+    for kind, top_p in ((RATIONAL, top_row), (TRIG, 3)):
+        for p in range(top_p + 1):
+            for i in range(1, ws.N + 1):
+                full = ws._row_sum(kind, p, i)
+                for cut in range(p + 2):
+                    assert ws._row_sum(kind, p, i, cut=cut) \
+                        == full.filtered(cut), (kind, p, i, cut)
+    for s in (1, 2, 3):
+        for p in range(4):
+            if p + 2 * s - 2 > top_row:
+                continue
+            top = p + s - 1
+            for cut in range(top + 2):
+                for i in range(1, ws.N + 1):
+                    assert ws._spin_row(s, p, i, cut=cut) \
+                        == ws._spin_row(s, p, i).filtered(cut), (s, p, i, cut)
+                assert ws.w_gen(s, p, cut=cut) \
+                    == ws.w_gen(s, p).filtered(cut), (s, p, cut)
+                for a in ws.colors():
+                    for b in ws.colors():
+                        assert ws.q_gen(s, p, a, b, cut=cut) \
+                            == ws.q_gen(s, p, a, b).filtered(cut), \
+                            (s, p, a, b, cut)
+            assert ws.w_gen(s, p, cut=top + 1).is_zero
+            assert ws.q_gen(s, p, 1, 1, cut=top + 1).is_zero
+
+
+def test_a_full_build_has_one_memo_entry():
+    # a cut of 0 or less is the full build under the full build's key
+    ws = ModelWorkspace(1, 1, 2)
+    q, w = ws.q_gen(2, 1, 1, 2), ws.w_gen(2, 1)
+    entries = len(ws._memo)
+    for cut in (0, -1):
+        assert ws.q_gen(2, 1, 1, 2, cut=cut) is q
+        assert ws.w_gen(2, 1, cut=cut) is w
+    assert len(ws._memo) == entries
+    top = ws.q_gen(2, 1, 1, 2, cut=2)
+    assert ws._memo["q_gen", (2, 1, 1, 2), 2] is top
+
+
+def test_colored_spin_brackets_build_their_right_side_at_the_cut():
+    # eq3.36 reads Q_{s+s'-1,p+q} only at its top degree; at spin 2 and
+    # degree 0 its largest right side is Q_{3,0}, a double bracket on
+    # row 1 of L^4, and neither that row nor the spin row is built in full
+    ws = ModelWorkspace(1, 1, 2)
+    cfg = RunConfig(contexts=((1, 1, 2),), cases=("eq3.36",),
+                    max_spin=2, max_degree=0)
+    report = verify_case(ws, CASES["eq3.36"], cfg)
+    assert report.verdict == "pass" and report.oracle_agrees
+    assert ("_spin_row", (3, 0, 1)) not in ws._memo
+    assert ("_row_sum", (RATIONAL, 4, 1)) not in ws._memo
+    assert ("_spin_row", (3, 0, 1), 2) in ws._memo
+    # every right side here is read at its top degree, so each row of L^p
+    # built with a cut is built at p, its own top, and nothing below
+    cut_rows = [key for key in ws._memo
+                if key[0] == "_row_sum" and len(key) == 3]
+    assert ("_row_sum", (RATIONAL, 4, 1), 4) in cut_rows
+    assert all(cut == p for _, (_, p, _), cut in cut_rows), cut_rows
