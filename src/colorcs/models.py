@@ -10,27 +10,34 @@ arguments), so repeated requests (the verifier loops over thousands of
 color tuples) cost one dict lookup.  Operators are never mutated after
 construction, so handing every caller the same object is safe.
 
-Each spin family has one builder, each generator row is built once, and
-a build makes only the derivative degrees its caller reads:
+Every generator is a site sum, built by one of two recipes, with each
+site's piece dressed as e(i,a,b) (piece) when it carries a color pair:
 
-  * A colored generator is sum_i e(i,a,b) times a color-blind row at
-    site i (``_colored``), and x^2 = sum_i x_i^2 is even and color-blind,
-    so [x^2, e(i,a,b) R] = e(i,a,b) [x^2, R].  W_{s,p} and Q_{s,p} are
-    therefore both built from the rows ``_spin_row(s, p, i)``, the closed
-    form ad_{x^2}^{s-1} of row i of L^(p+2s-2) over
-    2^{s-1} (p+s)_{s-1}, bracketed once for all dim^2 color pairs.
-    The bracket recursion of eqs. 3.31 and 3.32 is checked against these
-    builds, not used to make them.
+  * Rows (``_site_sum``): T, J, W and Q sum rows.  x^2 = sum_i x_i^2 is
+    even and color-blind, so [x^2, e(i,a,b) R] = e(i,a,b) [x^2, R], and
+    W_{s,p} and Q_{s,p} share the rows ``_spin_row(s, p, i)``, the closed
+    form ad_{x^2}^{s-1} of row i of L^(p+2s-2) over 2^{s-1} (p+s)_{s-1},
+    bracketed once for all dim^2 color pairs.  The seeds are the s = 1
+    members: J_p is Q_{1,p} and ``j_scalar`` is W_{1,p}, on row i of L^p.
+    T sums the rows of the trigonometric L^p.  The bracket recursion of
+    eqs. 3.31 and 3.32 is checked against these builds, not used to make
+    them.
+  * Power sums (``_power_sum``): K_p, the free generators Q0 and the
+    leading symbols of W and Q are sum_i (+-x_i)^k d_i^d, built term by
+    term.
+
+Each row is built once, and a build makes only the derivative degrees its
+caller reads:
+
   * The Lax entries of both kinds and x^2 are natural under renaming the
     sites, so row i of L^p and of the spin closed form is row 1's image
     under the swap of sites 1 and i (``OperatorSum.relabel``); only row 1
-    is built by products and brackets.
-  * The generator builders (``_row_sum``, ``_spin_row``, ``j_scalar``,
-    ``loop_J``, ``w_gen``, ``q_gen``) take a derivative cut: a build at
-    ``cut=c`` is exactly the full build's terms at derivative degree
-    >= c, zero once c passes the top degree, and a leading-order verdict
-    asks for its right side there.  The cut propagates by two rules,
-    both from "Leibniz only lowers the degree" (see ``operators``).
+    is built, as the site sum sum_k L_1k (row k of L^(p-1)), and bracketed.
+  * The rows and the generators summed from them take a derivative cut:
+    a build at ``cut=c`` is exactly the full build's terms at derivative
+    degree >= c, zero once c passes the top degree, and a leading-order
+    verdict asks for its right side there.  The cut propagates by two
+    rules, both from "Leibniz only lowers the degree" (see ``operators``).
     Entries of L have derivative degree <= 1, so row i of L^p at c is
     sum_k L_ik (row k of L^(p-1) at c - 1), each product truncated at c.
     ad_{x^2} lowers the degree by 1 or 2, so the spin row at c needs the
@@ -220,19 +227,32 @@ class ModelWorkspace:
         if i > 1:
             return self._site_image(i, self._row_sum(kind, p, 1, cut=cut))
         lax = self._lax_matrix(kind, "L")
-        op = self.ctx.zero()
-        for k in range(1, self.N + 1):
-            row = self._row_sum(kind, p - 1, k, cut=cut - 1)
-            op = op + lax[i - 1][k - 1].mul(row, cut or None)
-        return op
+        return self._site_sum(lambda k: lax[0][k - 1].mul(
+            self._row_sum(kind, p - 1, k, cut=cut - 1), cut or None))
 
-    def _colored(self, a: int, b: int, row) -> OperatorSum:
-        """sum_i e(i,a,b) row(i), a color-blind row family dressed with
-        the color pair (a, b)."""
+    def _site_sum(self, row, pair=None) -> OperatorSum:
+        """sum_i row(i), each row dressed as e(i,a,b) row(i) when the
+        color pair (a, b) is given."""
         op = self.ctx.zero()
         for i in range(1, self.N + 1):
-            op = op + self.unit(i, a, b).mul(row(i))
+            r = row(i)
+            op = op + (r if pair is None else self.unit(i, *pair).mul(r))
         return op
+
+    def _power_sum(self, k: int, d: int, pair=None,
+                   sign: int = 1) -> OperatorSum:
+        """sum_i (sign x_i)^k d_i^d, dressed like ``_site_sum``; each
+        term is built as the one normal-ordered term it is."""
+        f = self.ctx.field
+
+        def term(i):
+            dv = [0] * self.N
+            dv[i - 1] = d
+            return self.ctx.from_units(
+                [] if pair is None else [(i, *pair)],
+                coeff=f.monomial({i - 1: k}, sign ** k), deriv=dv)
+
+        return self._site_sum(term)
 
     # -- Yangian generators --------------------------------------------------
 
@@ -241,7 +261,7 @@ class ModelWorkspace:
         """T_p with color indices (a, b), built from the trigonometric Lax."""
         if p < 0:
             raise ValueError("use t_minus1 for the formal level -1 unit")
-        return self._colored(a, b, lambda i: self._row_sum(TRIG, p, i))
+        return self._site_sum(lambda i: self._row_sum(TRIG, p, i), (a, b))
 
     def t_minus1(self, a: int, b: int, graded: bool = True) -> OperatorSum:
         """Formal level -1 generator: a multiple of delta_ab / lambda.
@@ -264,32 +284,22 @@ class ModelWorkspace:
 
     @_memoized
     def loop_J(self, p: int, a: int, b: int, cut: int = 0) -> OperatorSum:
-        """J_p with color indices (a, b), built from the rational Lax."""
-        if p < 0:
-            raise ValueError("loop degree must be nonnegative")
-        return self._colored(
-            a, b, lambda i: self._row_sum(RATIONAL, p, i, cut=cut))
+        """J_p with color indices (a, b), built from the rational Lax: the
+        spin-1 member of the Q family."""
+        return self.q_gen(1, p, a, b, cut=cut)
 
     @_memoized
     def loop_K(self, p: int, a: int, b: int) -> OperatorSum:
         """K_p = sum_i e(i,a,b) x_i^p."""
         if p < 0:
             raise ValueError("loop degree must be nonnegative")
-        f = self.ctx.field
-        op = self.ctx.zero()
-        for i in range(1, self.N + 1):
-            op = op + self.ctx.unit(i, a, b, coeff=f.monomial({i - 1: p}))
-        return op
+        return self._power_sum(p, 0, (a, b))
 
     @_memoized
     def j_scalar(self, p: int, cut: int = 0) -> OperatorSum:
-        """Colorless total sum of (I^p)_{ij}; spin-1 seed of the W family."""
-        if p < 0:
-            raise ValueError("loop degree must be nonnegative")
-        op = self.ctx.zero()
-        for i in range(1, self.N + 1):
-            op = op + self._row_sum(RATIONAL, p, i, cut=cut)
-        return op
+        """Colorless total sum of (L^p)_{ij}: the spin-1 member of the W
+        family."""
+        return self.w_gen(1, p, cut=cut)
 
     # -- signed color contractions --------------------------------------------
 
@@ -508,25 +518,16 @@ class ModelWorkspace:
 
     @_memoized
     def w_gen(self, s: int, p: int, cut: int = 0) -> OperatorSum:
-        """Spin-s scalar generator: the spin-1 seed, or the sum of the
-        spin rows over the sites."""
+        """Spin-s scalar generator: the sum of the spin rows over the
+        sites."""
         self._check_spin(s, p)
-        if s == 1:
-            return self.j_scalar(p, cut=cut)
-        op = self.ctx.zero()
-        for i in range(1, self.N + 1):
-            op = op + self._spin_row(s, p, i, cut=cut)
-        return op
+        return self._site_sum(lambda i: self._spin_row(s, p, i, cut=cut))
 
     @_memoized
     def w_leading(self, s: int, p: int) -> OperatorSum:
         """Top derivative part: sum_j (-x_j)^(s-1) d_j^(p+s-1)."""
         self._check_spin(s, p)
-        f = self.ctx.field
-        op = self.ctx.zero()
-        for j in range(1, self.N + 1):
-            op = op + self.ctx.deriv(j, p + s - 1).scale((-f.x(j)) ** (s - 1))
-        return op
+        return self._power_sum(s - 1, p + s - 1, sign=-1)
 
     @_memoized
     def _spin_row(self, s: int, p: int, i: int, cut: int = 0) -> OperatorSum:
@@ -550,25 +551,17 @@ class ModelWorkspace:
     @_memoized
     def q_gen(self, s: int, p: int, a: int, b: int,
               cut: int = 0) -> OperatorSum:
-        """Spin-s colored generator: the loop generator J_p at spin 1,
-        else the spin rows dressed with the color pair (a, b)."""
+        """Spin-s colored generator: the spin rows dressed with the color
+        pair (a, b)."""
         self._check_spin(s, p)
-        if s == 1:
-            return self.loop_J(p, a, b, cut=cut)
-        return self._colored(
-            a, b, lambda i: self._spin_row(s, p, i, cut=cut))
+        return self._site_sum(
+            lambda i: self._spin_row(s, p, i, cut=cut), (a, b))
 
     @_memoized
     def q_leading(self, s: int, p: int, a: int, b: int) -> OperatorSum:
+        """Top derivative part: sum_j e(j,a,b) (-x_j)^(s-1) d_j^(p+s-1)."""
         self._check_spin(s, p)
-        f = self.ctx.field
-        op = self.ctx.zero()
-        deg = p + s - 1
-        for j in range(1, self.N + 1):
-            dv = [0] * self.N
-            dv[j - 1] = deg
-            op = op + self.ctx.unit(j, a, b, coeff=(-f.x(j)) ** (s - 1), deriv=dv)
-        return op
+        return self._power_sum(s - 1, p + s - 1, (a, b), sign=-1)
 
     @_memoized
     def q_free(self, s: int, p: int, a: int, b: int) -> OperatorSum:
@@ -579,15 +572,7 @@ class ModelWorkspace:
         coefficients.
         """
         self._check_spin(s, p)
-        f = self.ctx.field
-        op = self.ctx.zero()
-        deg = p + s - 1
-        for i in range(1, self.N + 1):
-            dv = [0] * self.N
-            dv[i - 1] = deg
-            op = op + self.ctx.unit(i, a, b,
-                                    coeff=f.monomial({i - 1: s - 1}), deriv=dv)
-        return op
+        return self._power_sum(s - 1, p + s - 1, (a, b))
 
     @staticmethod
     def _check_spin(s: int, p: int):
@@ -647,7 +632,7 @@ class ModelWorkspace:
                 f"operator {head!r} takes {arity} argument(s), got {len(args)}")
         try:
             return fn(*args)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, OverflowError) as exc:
             raise UnknownNameError(f"cannot build {name!r}: {exc}") from exc
 
     def _entry(self, kind, which, i, j):

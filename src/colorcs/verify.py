@@ -101,17 +101,9 @@ class Expr:
     """Tiny two-way expression node: collapses to an operator, or acts
     on a state compositionally without ever multiplying operators."""
 
-    __slots__ = ("_op",)
-
-    def __init__(self):
-        self._op = None
+    __slots__ = ()
 
     def operator(self) -> OperatorSum:
-        if self._op is None:
-            self._op = self._build()
-        return self._op
-
-    def _build(self):
         raise NotImplementedError
 
     def par(self) -> int:
@@ -124,11 +116,13 @@ class Expr:
 
 
 class Leaf(Expr):
-    __slots__ = ()
+    __slots__ = ("_op",)
 
     def __init__(self, op: OperatorSum):
-        super().__init__()
         self._op = op
+
+    def operator(self):
+        return self._op
 
     def par(self):
         return self._op.parity()
@@ -141,11 +135,10 @@ class Mul(Expr):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
-        super().__init__()
         self.a = a
         self.b = b
 
-    def _build(self):
+    def operator(self):
         return self.a.operator().mul(self.b.operator())
 
     def par(self):
@@ -161,7 +154,6 @@ class Bracket(Expr):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
-        super().__init__()
         self.a = a
         self.b = b
 
@@ -172,7 +164,7 @@ class Bracket(Expr):
     def par(self):
         return (self.a.par() + self.b.par()) % 2
 
-    def _build(self):
+    def operator(self):
         return self.a.operator().bracket(self.b.operator())
 
     def top(self, min_deriv: int) -> OperatorSum:
@@ -199,10 +191,9 @@ class Add(Expr):
     __slots__ = ("items",)
 
     def __init__(self, *items: Expr):
-        super().__init__()
         self.items = items
 
-    def _build(self):
+    def operator(self):
         op = None
         for it in self.items:
             if op is None:
@@ -230,11 +221,10 @@ class Scale(Expr):
     __slots__ = ("inner", "coeff")
 
     def __init__(self, inner: Expr, coeff):
-        super().__init__()
         self.inner = inner
         self.coeff = coeff
 
-    def _build(self):
+    def operator(self):
         return self.inner.operator().scale(self.coeff)
 
     def par(self):

@@ -229,6 +229,18 @@ def test_print_operator_unknown_name(capsys):
     assert err[-1] == "colorcs: error: unknown operator name 'Z'"
 
 
+def test_print_operator_exponent_out_of_range(capsys):
+    # the coefficient field caps exponents; past the cap the name is
+    # refused as a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--print-operator", "K[2000,1,1]",
+                  "--contexts", "1,1,2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == ("colorcs: error: cannot build 'K[2000,1,1]': "
+                       "exponent out of range")
+
+
 def test_pass_run_text(capsys, pass_manifest):
     rc = cli.main(["--cases", "eq2.7,eq2.10", "--contexts", "1,1,2",
                    "--manifest", pass_manifest])

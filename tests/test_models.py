@@ -1,5 +1,6 @@
 """Builder-level checks with hand-frozen expected operators."""
 
+import functools
 import inspect
 import itertools
 from fractions import Fraction
@@ -339,6 +340,7 @@ def test_registry_resolves_names(ws112):
     "", "Zz", "T", "T[1]", "T[1,2]", "T[1,1,2,3]", "T[x,1,1]",
     "E[9,1,1]", "E[1,7,1]", "W[0,1]", "W[1,-1]", "Lc[3,1]", "H_c[1]",
     "Tm1[9,8]", "Tm1_plain[9,9]", "Tm1[1,7]", "Wcl[2,1]", "Qcl[2,0,1,2]",
+    "K[2000,1,1]",
 ])
 def test_registry_rejects_bad_names(ws112, bad):
     with pytest.raises(UnknownNameError):
@@ -487,6 +489,44 @@ def test_colored_spin_brackets_run_once_on_site_one_rows(monkeypatch):
     (first, once), (second, _) = calls
     assert first is ws._row_sum(RATIONAL, 4, 1)
     assert second is once
+
+
+# -- power sums -----------------------------------------------------------------
+
+
+def _power_sum_by_products(ws, k, d, pair=None, sign=1):
+    """sum_i (sign x_i)^k d_i^d, each term multiplied out of coordinate,
+    derivative and unit operators, dressed with e(i,a,b) for pair (a, b)."""
+    ctx = ws.ctx
+    op = ctx.zero()
+    for i in range(1, ws.N + 1):
+        term = ctx.deriv(i, d)
+        for _ in range(k):
+            term = ctx.coord(i).scale(sign).mul(term)
+        if pair is not None:
+            term = ctx.unit(i, *pair).mul(term)
+        op = op + term
+    return op
+
+
+@pytest.mark.parametrize("nmN", [(1, 1, 3), (2, 1, 2)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_power_sums_match_their_formulas(nmN):
+    ws = ModelWorkspace(*nmN)
+    ref = functools.partial(_power_sum_by_products, ws)
+    # every color pair, the odd ones included
+    pairs = list(itertools.product(ws.colors(), repeat=2))
+    for p in range(4):
+        for pair in pairs:
+            assert ws.loop_K(p, *pair) == ref(p, 0, pair), (p, pair)
+    for s in (1, 2, 3):
+        for p in range(3):
+            k, d = s - 1, p + s - 1
+            assert ws.w_leading(s, p) == ref(k, d, sign=-1), (s, p)
+            for pair in pairs:
+                assert ws.q_leading(s, p, *pair) \
+                    == ref(k, d, pair, sign=-1), (s, p, pair)
+                assert ws.q_free(s, p, *pair) == ref(k, d, pair), (s, p, pair)
 
 
 # -- builds with a derivative cut ---------------------------------------------

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # run.py derives these from the whole pass (the report's instance count
@@ -17,12 +19,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DERIVED_BY_RUN = ("verify.instances", "trace.overhead_s")
 
 
-def test_traced_pass_reports_every_layer_metric():
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        names = [m["name"] for m in json.load(fh)["per_layer"]]
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    BENCHMARK = json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_pass_reports_every_layer_metric(workload):
+    names = [m["name"] for m in BENCHMARK["per_layer"]]
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "verdictbench", "child.py"),
-         "--workload", "serre-graded", "--seed", "20257", "--trace", "1"],
+         "--workload", workload, "--seed", "20257", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -507,20 +507,33 @@ def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
     assert shared < len(calls)
 
 
-def test_add_subtracts_a_negated_summand(ws112):
+def _built_nodes(monkeypatch):
+    """The Scale and Add nodes whose operator is built from here on."""
+    built = []
+    for cls in (vf.Scale, vf.Add):
+        def spy(self, operator=cls.operator):
+            built.append(self)
+            return operator(self)
+        monkeypatch.setattr(cls, "operator", spy)
+    return built
+
+
+def test_add_subtracts_a_negated_summand(ws112, monkeypatch):
+    built = _built_nodes(monkeypatch)
     a = ws112.yangian_T(1, 1, 2)
     b = ws112.hamiltonian("sutherland")
     neg_b = vf.Scale(vf.Leaf(b), -1)
     assert vf.Add(vf.Leaf(a), neg_b).operator() == a - b
     # subtracted termwise: the negated copy of b is never built
-    assert neg_b._op is None
+    assert neg_b not in built
     neg_a = vf.Scale(vf.Leaf(a), -1)
     assert vf.Add(neg_a, vf.Leaf(b)).operator() == b - a
     assert vf.Add(vf.Leaf(a), vf.Scale(vf.Leaf(b), Fraction(-1))).operator() \
         == a - b
 
 
-def test_residual_adds_a_negated_right_summand(ws112):
+def test_residual_adds_a_negated_right_summand(ws112, monkeypatch):
+    built = _built_nodes(monkeypatch)
     a = ws112.yangian_T(1, 1, 2)
     b = ws112.yangian_T(1, 2, 1)
     h = ws112.hamiltonian("sutherland")
@@ -535,5 +548,5 @@ def test_residual_adds_a_negated_right_summand(ws112):
         inst.dexp = 1
         assert vf._leading_residual(inst, None) == full.filtered(1)
         # summand by summand: neither -b nor the right side was built
-        assert neg_b._op is None
-        assert rhs._op is None
+        assert neg_b not in built
+        assert rhs not in built
