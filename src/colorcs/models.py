@@ -43,9 +43,9 @@ caller reads:
     ad_{x^2} lowers the degree by 1 or 2, so the spin row at c needs the
     row of L^(p+2s-2) at c + s - 1, and the k-th bracket is truncated at
     c + s - 1 - k.  Dressing a row with e(i,a,b) and renaming its sites
-    keep degrees, so they pass the cut through.  Cut 0 is the full build
-    under its usual memo key; a cut build is memoized under
-    (name, args, cut).
+    keep degrees, so they pass the cut through.  A cut is an int, as in
+    ``operators``: 0 or less is the full build, under its usual memo key,
+    and a cut build is memoized under (name, args, cut).
 
 Site indices are 1-based, color indices run 1..n+m.
 """
@@ -228,7 +228,7 @@ class ModelWorkspace:
             return self._site_image(i, self._row_sum(kind, p, 1, cut=cut))
         lax = self._lax_matrix(kind, "L")
         return self._site_sum(lambda k: lax[0][k - 1].mul(
-            self._row_sum(kind, p - 1, k, cut=cut - 1), cut or None))
+            self._row_sum(kind, p - 1, k, cut=cut - 1), cut))
 
     def _site_sum(self, row, pair=None) -> OperatorSum:
         """sum_i row(i), each row dressed as e(i,a,b) row(i) when the
@@ -545,7 +545,7 @@ class ModelWorkspace:
                            cut=cut + s - 1 if cut else 0)
         x2 = self.x_squared()
         for k in range(1, s):
-            op = x2.bracket(op, cut + s - 1 - k if cut else None)
+            op = x2.bracket(op, cut + s - 1 - k if cut else 0)
         return op.scale(Fraction(1, (2 ** (s - 1)) * _pochhammer(p + s, s - 1)))
 
     @_memoized
@@ -632,7 +632,9 @@ class ModelWorkspace:
                 f"operator {head!r} takes {arity} argument(s), got {len(args)}")
         try:
             return fn(*args)
-        except (ValueError, KeyError, OverflowError) as exc:
+        except (ValueError, KeyError, OverflowError, RecursionError) as exc:
+            # the Lax-power and spin recursions go one frame per degree, so
+            # a huge degree runs out of stack; a failed build stores no entry
             raise UnknownNameError(f"cannot build {name!r}: {exc}") from exc
 
     def _entry(self, kind, which, i, j):

@@ -30,9 +30,10 @@ Printing orders words site by site as (a1, b1, ..., aN, bN), through
 
 Inside the field's arithmetic memo (``ScalarField.arithmetic_memo``, one
 verdict) ``bracket`` computes each distinct bracket once.  The entry is
-keyed by ("bracket", id(a), id(b), min_deriv), because an operator is
-unhashable, and holds (a, b, result): pinning both operands keeps their
-ids from being reused while the entry lives.  A repeat returns the stored
+keyed by ("bracket", id(a), id(b), cut), because an operator is
+unhashable, with a cut of 0 or less keyed as 0, the full bracket.  It
+holds (a, b, result): pinning both operands keeps their ids from being
+reused while the entry lives.  A repeat returns the stored
 result, and the graded swap [b, a} is read off [a, b}: the same result
 when both are odd (the anticommutator is symmetric), its negation
 otherwise.  A computed bracket makes its two ``mul`` calls, unless one
@@ -51,12 +52,12 @@ them (``mul``'s private ``_tail`` sign).  That product stays inside
 product, and verdictbench's ``operators.mul`` span still times and counts
 it; the action path (``verify.Bracket``) still applies both orders to
 states, so the oracle checks the shortcut against independent code.
-``min_deriv`` is part of the key, so a truncated bracket is never derived
-from a full one or the reverse.
-The memo holds one entry per distinct (a, b, min_deriv) a verdict
-evaluates, and most results are held for the verdict anyway by the
-``Bracket`` nodes of its instances; what it adds is the entries, the
-truncated tops and the brackets that model builders compute on the way.
+The cut is part of the key, so a truncated bracket is never derived
+from a full one or the reverse.  The memo holds one entry per distinct
+(a, b, cut) a verdict evaluates, and most results are held for the
+verdict anyway by the ``Bracket`` nodes of its instances; what it adds is
+the entries, the truncated tops and the brackets that model builders
+compute on the way.
 Outside a memo scope nothing is stored.  A product's word sign is folded
 into its accumulation: a negative pair subtracts from an existing term
 and negates only a new one.
@@ -65,10 +66,12 @@ Leibniz only lowers the degree: a term f w d^p times a term g w' d^q is
 the sum over t <= p of C(p, t) f (d^t g) (w w') d^(p+q-t), whose total
 derivative degree |p| + |q| - |t| is at most |p| + |q|.  So the terms of
 a product at degree >= c come only from pairs with |p| + |q| >= c, and
-``mul(other, min_deriv=c)`` skips each Leibniz term with |t| above
+``mul(other, cut=c)`` skips each Leibniz term with |t| above
 |p| + |q| - c before it takes any derivative; ``bracket`` passes the cut
-to its products.  The leading-order verdicts (``verify.Bracket.top``) and
-the cut builds of the spin generators (``models``) rest on this rule.
+to its products, and ``filtered(c)`` keeps the terms at degree >= c.  A
+cut of 0 or less keeps every term.  The expression nodes of ``verify``,
+collapsed at an instance's cut, and the cut builds of the spin generators
+(``models``) rest on this rule.
 
 ``relabel(sigma)`` renames site k to sigma(k): it permutes each term's
 out, in and derivative tuples and maps each coefficient through
@@ -341,8 +344,8 @@ class OperatorSum:
 
     # -- multiplication ------------------------------------------------------
 
-    def mul(self, other, min_deriv=None, _tail=0):
-        """Product, optionally dropping result terms below a total
+    def mul(self, other, cut=0, _tail=0):
+        """Product; a cut above 0 drops the result terms below that total
         derivative degree (sound for leading-order comparisons).
 
         ``_tail`` is for ``bracket`` alone: +1 or -1 keeps only the
@@ -367,8 +370,8 @@ class OperatorSum:
                 # a Leibniz term moves |t| derivatives onto g and keeps
                 # degree p_total + sum(q) - |t|, so the cut bounds |t|
                 cap = p_total
-                if min_deriv is not None:
-                    cap = min(cap, p_total + sum(q) - min_deriv)
+                if cut > 0:
+                    cap = min(cap, p_total + sum(q) - cut)
                 if cap < lowest:
                     continue
                 sign, w = full_word_mul(grading, w1, w2)
@@ -422,29 +425,30 @@ class OperatorSum:
                 return False
         return True
 
-    def bracket(self, other, min_deriv=None):
+    def bracket(self, other, cut=0):
         """Graded commutator [self, other}: anticommutator when both odd;
-        min_deriv truncates as in ``mul``.  One product when an operand is
+        the cut truncates as in ``mul``.  One product when an operand is
         a multiplication operator; shared inside the field's arithmetic
         memo (see the module docstring for both)."""
         self._check(other)
         odd = self.parity() and other.parity()
+        cut = max(cut, 0)
         memo = self.ctx.field._memo
         if memo is not None:
-            key = ("bracket", id(self), id(other), min_deriv)
+            key = ("bracket", id(self), id(other), cut)
             hit = memo.get(key)
             if hit is not None:
                 return hit[2]
-            hit = memo.get(("bracket", id(other), id(self), min_deriv))
+            hit = memo.get(("bracket", id(other), id(self), cut))
             if hit is not None:
                 return hit[2] if odd else -hit[2]
         if other._is_multiplication():
-            out = self.mul(other, min_deriv, _tail=1)
+            out = self.mul(other, cut, _tail=1)
         elif self._is_multiplication():
-            out = other.mul(self, min_deriv, _tail=-1)
+            out = other.mul(self, cut, _tail=-1)
         else:
-            ab = self.mul(other, min_deriv)
-            ba = other.mul(self, min_deriv)
+            ab = self.mul(other, cut)
+            ba = other.mul(self, cut)
             out = ab + ba if odd else ab - ba
         if memo is not None:
             # the entry pins both operands, so their ids stay theirs
@@ -520,8 +524,12 @@ class OperatorSum:
             out[(word, p)] = g
         return OperatorSum(ctx, out)
 
-    def filtered(self, min_deriv=0):
-        keep = {k: f for k, f in self.terms.items() if sum(k[1]) >= min_deriv}
+    def filtered(self, cut):
+        """The terms at total derivative degree >= cut; a cut of 0 or less
+        keeps them all and returns this operator itself."""
+        if cut <= 0:
+            return self
+        keep = {k: f for k, f in self.terms.items() if sum(k[1]) >= cut}
         return OperatorSum(self.ctx, keep)
 
     def substitute_lambda(self, value):

@@ -118,19 +118,6 @@ def _memoized(symmetric):
     return wrap
 
 
-def _poly_pow(p, k, shifts):
-    # coprime inputs stay coprime under powers, so no gcd is needed here
-    out = {0: 1}
-    base = p
-    while k:
-        if k & 1:
-            out = poly_mul(out, base, shifts)
-        k >>= 1
-        if k:
-            base = poly_mul(base, base, shifts)
-    return out
-
-
 class ScalarField:
     """Coefficient field for one fixed number of sites N."""
 
@@ -452,21 +439,6 @@ class RationalFunction:
             num = poly_neg(num)
             den = poly_neg(den)
         return self.__mul__(self.field._make(num, den))
-
-    def __pow__(self, k: int):
-        f = self.field
-        if k == 0:
-            return f.one
-        if k < 0:
-            if not self.num:
-                raise PoleError("zero to a negative power")
-            inv = f.one.__truediv__(self)
-            return inv.__pow__(-k)
-        if not self.num:
-            return f.zero
-        num = _poly_pow(self.num, k, f.shifts)
-        den = _poly_pow(self.den, k, f.shifts)
-        return f._make(num, den)
 
     # -- calculus and substitution ------------------------------------------
 

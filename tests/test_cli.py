@@ -107,6 +107,15 @@ def test_print_operator_rejects_a_bad_coupling(argv, message, capsys):
     assert err.out == ""
 
 
+def test_print_operator_rejects_a_degree_too_deep_to_build(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--print-operator", "J[3000,1,1]", "--contexts", "1,1,2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr()
+    assert "cannot build 'J[3000,1,1]'" in err.err.splitlines()[-1]
+    assert err.out == ""
+
+
 @pytest.mark.parametrize("contexts", [None, "default", "1,1,2;2,0,2"])
 def test_print_operator_needs_exactly_one_context(contexts, capsys):
     argv = ["--print-operator", "T[1,1,2]"]

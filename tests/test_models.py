@@ -341,6 +341,8 @@ def test_registry_resolves_names(ws112):
     "E[9,1,1]", "E[1,7,1]", "W[0,1]", "W[1,-1]", "Lc[3,1]", "H_c[1]",
     "Tm1[9,8]", "Tm1_plain[9,9]", "Tm1[1,7]", "Wcl[2,1]", "Qcl[2,0,1,2]",
     "K[2000,1,1]",
+    # degrees past the recursion depth of the Lax-power and spin builds
+    "J[3000,1,1]", "W[1,5000]", "T[3000,1,1]", "Q[2000,0,1,1]",
 ])
 def test_registry_rejects_bad_names(ws112, bad):
     with pytest.raises(UnknownNameError):
@@ -471,8 +473,8 @@ def test_colored_spin_brackets_run_once_on_site_one_rows(monkeypatch):
     calls = []
     bracket = OperatorSum.bracket
 
-    def counting_bracket(self, other, min_deriv=None):
-        out = bracket(self, other, min_deriv)
+    def counting_bracket(self, other, cut=0):
+        out = bracket(self, other, cut)
         calls.append((other, out))
         return out
 

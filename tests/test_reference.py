@@ -200,15 +200,6 @@ def test_substitute_lambda_matches_sympy(sample, c):
 
 
 @REFERENCE
-@given(samples(1), st.integers(0, 3))
-def test_pow_matches_sympy(sample, k):
-    J, (a,) = sample
-    G, H = J.pair(a)
-    # sympy refuses 0**0; the field's zero**0 is one
-    check(J, a ** k, (G ** k, H ** k) if k else (J.R.one, J.R.one))
-
-
-@REFERENCE
 @given(samples(1), st.data())
 def test_relabel_matches_sympy(sample, data):
     J, (a,) = sample

@@ -42,8 +42,8 @@ def test_theta_product_closed_form(F3):
     # theta_12 * theta_21 = -x1*x2/(x1-x2)^2
     lhs = F3.theta(1, 2) * F3.theta(2, 1)
     num = -(F3.x(1) * F3.x(2))
-    den = (F3.x(1) - F3.x(2)) ** 2
-    assert lhs == num / den
+    b = F3.x(1) - F3.x(2)
+    assert lhs == num / (b * b)
 
 
 def test_omega_derivative(F3):
@@ -55,7 +55,8 @@ def test_omega_derivative(F3):
 
 def test_theta_derivative(F3):
     t = F3.theta(1, 2)
-    expected = -F3.x(2) / (F3.x(1) - F3.x(2)) ** 2
+    b = F3.x(1) - F3.x(2)
+    expected = -F3.x(2) / (b * b)
     assert t.d_dx(1) == expected
     # theta depends on x1, x2 only
     assert t.d_dx(3) == F3.zero
@@ -84,8 +85,8 @@ def test_derivative_cancels_only_x1_free_factors(name):
 
 
 @REFERENCE
-@given(samples(2), st.integers(-2, 3))
-def test_arithmetic_never_calls_frac(sample, k):
+@given(samples(2))
+def test_arithmetic_never_calls_frac(sample):
     J, (a, b) = sample
 
     def refuse(*args):
@@ -93,7 +94,7 @@ def test_arithmetic_never_calls_frac(sample, k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ScalarField, "frac", refuse)
-        results = [a + b, a - b, a * b, a / b, a ** k, a + 3, 2 - a,
+        results = [a + b, a - b, a * b, a / b, a + 3, 2 - a,
                    a * Fraction(2, 3), a / 5, a.substitute_lambda(2)]
         results += [f.diff(slot) for f in (a, b)
                     for slot in range(J.field.nvars)]
@@ -116,7 +117,8 @@ def test_point_values():
         check(J, F.omega(i, j), (J.R.one, b))
         check(J, F.theta(i, j), (xs[i - 1], b))
     b = xs[0] - xs[2]
-    check(J, F.omega(1, 3) ** 2 * 4 - F.one / 5, (20 - b ** 2, 5 * b ** 2))
+    w = F.omega(1, 3)
+    check(J, w * w * 4 - F.one / 5, (20 - b ** 2, 5 * b ** 2))
 
 
 OUT_OF_RANGE_SITES = {
@@ -151,7 +153,7 @@ def test_canonical_form_is_route_independent(F3):
     b = (F3.theta(1, 2) * F3.one * 2 - F3.theta(1, 3) * 2) / 2
     assert a == b and hash(a) == hash(b)
     # same value built from raw num/den with a junk common factor
-    junk = (F3.x(1) + F3.x(2)) ** 2
+    junk = (F3.x(1) + F3.x(2)) * (F3.x(1) + F3.x(2))
     w = F3.omega(1, 2)
     assert F3.frac(_pm(F3, w.num, junk.num), _pm(F3, w.den, junk.num)) == w
 
@@ -207,14 +209,6 @@ def test_factor_outside_the_candidates_cancels(N, monkeypatch):
     assert num / den == want and hash(num / den) == hash(want)
     assert F.frac(num.num, den.num) == want
     assert heu
-
-
-def test_pow(F3):
-    w = F3.omega(1, 2)
-    assert w ** 3 == w * w * w
-    assert w ** 0 == F3.one
-    assert w ** -2 == F3.one / (w * w)
-    assert (F3.x(1) + 1) ** 2 == F3.x(1) * F3.x(1) + F3.x(1) * 2 + 1
 
 
 def test_substitute(F3):

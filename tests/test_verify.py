@@ -51,7 +51,33 @@ def test_expr_bracket_matches_operator_bracket(ws112):
     assert node.par() == 0
     assert node._sign() == 1  # both operands odd: anticommutator
     assert node.operator() == a.bracket(b)
-    assert node.top(0) == a.bracket(b)
+    assert node.operator(0) == a.bracket(b)
+
+
+def test_every_node_collapses_at_a_cut(ws112):
+    # operands with terms at several derivative degrees, so a product's
+    # top needs its operands' lower terms
+    t1 = vf.Leaf(ws112.yangian_T(1, 1, 2))
+    h = vf.Leaf(ws112.hamiltonian("sutherland"))
+    x2 = vf.Leaf(ws112.x_squared())
+    nodes = [
+        h,
+        vf.Mul(t1, h),
+        vf.Bracket(x2, h),
+        vf.Bracket(t1, vf.Leaf(ws112.yangian_T(1, 2, 1))),
+        vf.Scale(h, Fraction(1, 3)),
+        vf.Add(vf.Mul(h, t1), vf.Scale(vf.Bracket(x2, h), -1), t1),
+    ]
+    for node in nodes:
+        full = node.operator()
+        top = full.max_deriv_degree()
+        assert top >= 1
+        for cut in range(-1, top + 2):
+            assert node.operator(cut) == full.filtered(cut), (node, cut)
+        assert node.operator(top + 1).is_zero
+    op = ws112.yangian_T(1, 1, 2)
+    assert vf.Leaf(op).operator(0) is op
+    assert vf.Leaf(op).operator(-1) is op
 
 
 def test_expr_apply_matches_collapsed_operator(ws112):
@@ -71,7 +97,7 @@ def test_expr_apply_matches_collapsed_operator(ws112):
 def test_nested_bracket_apply_never_multiplies(ws112, monkeypatch):
     from colorcs.operators import OperatorSum
 
-    def boom(self, other, min_deriv=None):
+    def boom(self, other, cut=0):
         raise AssertionError("action path formed an operator product")
 
     inner = vf.Bracket(vf.Leaf(ws112.yangian_T(1, 1, 2)),
@@ -334,7 +360,7 @@ def _instance(ws, case_id, label):
 
 def test_oracle_rejects_a_wrong_exact_residual(ws112):
     cfg, inst = _instance(ws112, "eq2.7", "i=1 abcd=1221")
-    residual = vf._exact_residual(inst, None)
+    residual = vf._residual(inst, None)
     assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
     wrong = residual + ws112.unit(1, 1, 2)
     agrees, note = vf._oracle_instance(ws112, cfg, inst, wrong)
@@ -346,12 +372,12 @@ def test_oracle_rejects_a_wrong_truncated_residual(ws112):
     from colorcs.operators import OperatorSum
 
     cfg, inst = _instance(ws112, "eq3.34", "s=1 s'=2 p=1 q=1")
-    residual = vf._leading_residual(inst, None)
+    residual = vf._residual(inst, None)
     assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
     # the truncated residual of a top with one term dropped
-    top = inst.lhs.top(inst.dexp)
+    top = inst.lhs.operator(inst.cut)
     dropped = OperatorSum(top.ctx, dict(list(top.terms.items())[1:]))
-    wrong = (dropped - inst.rhs.operator()).filtered(inst.dexp)
+    wrong = (dropped - inst.rhs.operator()).filtered(inst.cut)
     assert not wrong.is_zero
     agrees, note = vf._oracle_instance(ws112, cfg, inst, wrong)
     assert not agrees
@@ -365,10 +391,11 @@ def test_oracle_reads_the_top_from_the_cut_up(ws112):
     cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=1)
     inst = next(inst for inst in vf.CASES["eq3.36"].instances(ws112, cfg)
                 if inst.label == "s=1 s'=2 p=1 q=0 abcd=1111")
-    full = vf._exact_residual(inst, None)
+    inst.cut = 0
+    full = vf._residual(inst, None)
     assert {sum(p) for _, p in full.terms} == {0, 1}
-    inst.dexp = 1
-    residual = vf._leading_residual(inst, None)
+    inst.cut = 1
+    residual = vf._residual(inst, None)
     assert residual == full.filtered(1)
     assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
 
@@ -398,8 +425,8 @@ def test_oracle_sees_a_residual_of_any_degree(ws112):
 def _dropping_top(mul):
     from colorcs.operators import OperatorSum
 
-    def dropping_mul(self, other, min_deriv=None, **private):
-        out = mul(self, other, min_deriv, **private)
+    def dropping_mul(self, other, cut=0, **private):
+        out = mul(self, other, cut, **private)
         top = out.max_deriv_degree()
         if top < 2:
             return out
@@ -410,10 +437,10 @@ def _dropping_top(mul):
 
 def _shifted_cap(shift):
     def wrap(mul):
-        def shifted_mul(self, other, min_deriv=None, **private):
-            if min_deriv is not None:
-                min_deriv += shift
-            return mul(self, other, min_deriv, **private)
+        def shifted_mul(self, other, cut=0, **private):
+            if cut > 0:
+                cut += shift
+            return mul(self, other, cut, **private)
         return shifted_mul
     return wrap
 
@@ -430,20 +457,15 @@ def test_oracle_catches_a_product_that_drops_its_top_degree(
     ws = ModelWorkspace(1, 1, 2)
     cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=1)
 
-    def residual(inst):
-        if inst.dexp is None:
-            return vf._exact_residual(inst, cfg.lam)
-        return vf._leading_residual(inst, cfg.lam)
-
     # the leaves are built and cached by the honest product; the
     # expression nodes above them are built afresh under the mutation
-    truth = [residual(inst)
+    truth = [vf._residual(inst, cfg.lam)
              for inst in vf.CASES[case_id].instances(ws, cfg)]
     fresh = list(vf.CASES[case_id].instances(ws, cfg))
     monkeypatch.setattr(OperatorSum, "mul", mutation(OperatorSum.mul))
     changed = 0
     for inst, right in zip(fresh, truth):
-        wrong = residual(inst)
+        wrong = vf._residual(inst, cfg.lam)
         if wrong == right:
             continue
         changed += 1
@@ -459,14 +481,14 @@ def test_oracle_forms_no_product_on_a_leading_instance(
 
     cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=1)
     inst = next(inst for inst in vf.CASES[case_id].instances(ws112, cfg)
-                if inst.dexp is not None)
-    residual = vf._leading_residual(inst, cfg.lam)
+                if inst.cut)
+    residual = vf._residual(inst, cfg.lam)
     calls = []
     mul = OperatorSum.mul
 
-    def counting_mul(self, other, min_deriv=None, **private):
-        calls.append(min_deriv)
-        return mul(self, other, min_deriv, **private)
+    def counting_mul(self, other, cut=0, **private):
+        calls.append(cut)
+        return mul(self, other, cut, **private)
 
     monkeypatch.setattr(OperatorSum, "mul", counting_mul)
     assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
@@ -476,9 +498,9 @@ def test_oracle_forms_no_product_on_a_leading_instance(
 def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
     from colorcs.operators import OperatorSum
 
-    def plain_bracket(self, other, min_deriv=None):
-        ab = self.mul(other, min_deriv)
-        ba = other.mul(self, min_deriv)
+    def plain_bracket(self, other, cut=0):
+        ab = self.mul(other, cut)
+        ba = other.mul(self, cut)
         return ab + ba if self.parity() and other.parity() else ab - ba
 
     def reports():
@@ -493,9 +515,9 @@ def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
     mul = OperatorSum.mul
     calls = []
 
-    def counting_mul(self, other, min_deriv=None, **private):
-        calls.append(min_deriv)
-        return mul(self, other, min_deriv, **private)
+    def counting_mul(self, other, cut=0, **private):
+        calls.append(cut)
+        return mul(self, other, cut, **private)
 
     monkeypatch.setattr(OperatorSum, "mul", counting_mul)
     shipped = reports()
@@ -511,9 +533,9 @@ def _built_nodes(monkeypatch):
     """The Scale and Add nodes whose operator is built from here on."""
     built = []
     for cls in (vf.Scale, vf.Add):
-        def spy(self, operator=cls.operator):
+        def spy(self, cut=0, operator=cls.operator):
             built.append(self)
-            return operator(self)
+            return operator(self, cut)
         monkeypatch.setattr(cls, "operator", spy)
     return built
 
@@ -544,9 +566,9 @@ def test_residual_adds_a_negated_right_summand(ws112, monkeypatch):
                        (vf.Add(vf.Leaf(a), neg_b), a - b)):
         inst = vf.Instance("signed", lhs, rhs)
         full = lhs.operator() - value
-        assert vf._exact_residual(inst, None) == full
-        inst.dexp = 1
-        assert vf._leading_residual(inst, None) == full.filtered(1)
+        assert vf._residual(inst, None) == full
+        inst.cut = 1
+        assert vf._residual(inst, None) == full.filtered(1)
         # summand by summand: neither -b nor the right side was built
         assert neg_b not in built
         assert rhs not in built
