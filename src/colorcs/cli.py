@@ -3,7 +3,9 @@
 Selects contexts and cases, runs the identity suite, and emits a text
 or structured report.  The structured form is a versioned JSON schema
 whose content is deterministic for a fixed configuration and seed,
-timing fields aside.
+timing fields aside.  Unless --manifest names another, the expected
+verdicts are read from ``data/expected_manifest.json`` beside this
+module, a plain file path that needs no ``importlib.resources``.
 
 Exit codes: 0 every selected case matched the expected manifest;
 1 at least one deviation (with a diff summary); 2 usage error;
@@ -14,9 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from fractions import Fraction
-from importlib import resources
 
 from .errors import CapExceededError, PoleError, UnknownNameError
 from .models import ModelWorkspace
@@ -132,6 +133,8 @@ def _parse_cases(arg, parser):
 def _parse_lambda(arg, parser):
     if arg == "symbolic":
         return None
+    # only a numeric coupling needs the rational type
+    from fractions import Fraction
     try:
         return Fraction(arg)
     except (ValueError, ZeroDivisionError):
@@ -140,19 +143,18 @@ def _parse_lambda(arg, parser):
 
 
 def load_manifest(path=None):
-    """The expected-verdict manifest at path, or the packaged one.
+    """The expected-verdict manifest at path, or the packaged one,
+    ``data/expected_manifest.json`` beside this module.
 
     Raises ValueError unless the document is a JSON object whose
     "overrides" maps each case id to an object of per-context objects,
     the shape ``compare_to_manifest`` reads.
     """
     if path is None:
-        ref = resources.files("colorcs").joinpath(
-            "data/expected_manifest.json")
-        doc = json.loads(ref.read_text())
-    else:
-        with open(path) as fh:
-            doc = json.load(fh)
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "expected_manifest.json")
+    with open(path) as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("the manifest is not a JSON object")
     overrides = doc.get("overrides", {})

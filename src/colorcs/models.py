@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import re
-from fractions import Fraction
 
 from .errors import UnknownNameError
 from .operators import AlgebraContext, OperatorSum
@@ -105,7 +104,7 @@ class ModelWorkspace:
         self.N = N
         self.dim = n + m
         f = self.ctx.field
-        self._half = Fraction(1, 2)
+        self._half = f.const(1, 2)
         self._lam = f.lam
         self._memo = {}
 
@@ -546,7 +545,8 @@ class ModelWorkspace:
         x2 = self.x_squared()
         for k in range(1, s):
             op = x2.bracket(op, cut + s - 1 - k if cut else 0)
-        return op.scale(Fraction(1, (2 ** (s - 1)) * _pochhammer(p + s, s - 1)))
+        return op.scale(self.ctx.field.const(
+            1, 2 ** (s - 1) * _pochhammer(p + s, s - 1)))
 
     @_memoized
     def q_gen(self, s: int, p: int, a: int, b: int,

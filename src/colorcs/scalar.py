@@ -9,7 +9,10 @@ RationalFunction is a canonical pair (num, den) over Z with
   * zero represented as (0, 1).
 
 Structural equality of canonical pairs is then mathematical equality, which
-is what the rest of the package leans on.  A new numerator is reduced at
+is what the rest of the package leans on.  A constant is an integer pair
+like any other, ({0: p}, {0: q}), built by ``ScalarField.const`` from two
+integers or from an int, Fraction or float through its integer ratio, so
+the field needs no rational type of its own.  A new numerator is reduced at
 one seam, ``ScalarField._cancel``, against the one factor of its
 denominator that can share a prime with it: in a sum the gcd of the two
 denominators, in a derivative gcd(den, d den) (the whole denominator
@@ -64,7 +67,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import monomials
 from ._kernel import (
@@ -191,19 +193,29 @@ class ScalarField:
             den = self._one_p
         return RationalFunction(self, num, den)
 
-    def const(self, c):
+    def const(self, c, q=None):
+        """The constant c (an int, a Fraction or a float, read through
+        its integer ratio), or p/q from two integers c = p and q;
+        PoleError for q = 0."""
         if isinstance(c, RationalFunction):
             if c.field is not self:
                 raise ContextMismatchError("constant from a different field")
             return c
-        c = Fraction(c)
-        if not c:
+        if q is None:
+            p, q = c.as_integer_ratio()
+        elif not q:
+            raise PoleError("zero denominator")
+        else:
+            g = math.gcd(c, q)
+            if q < 0:
+                g = -g
+            p, q = c // g, q // g
+        if not p:
             return self.zero
-        if c == 1:
+        if p == q:
             return self.one
-        num = {0: c.numerator}
-        den = self._one_p if c.denominator == 1 else {0: c.denominator}
-        return RationalFunction(self, num, den)
+        den = self._one_p if q == 1 else {0: q}
+        return RationalFunction(self, {0: p}, den)
 
     def _cancel(self, t, g, rest):
         """t/(g*rest), canonical (zero included), for positive-lead g and
@@ -332,7 +344,8 @@ class RationalFunction:
             if other.field is not self.field:
                 raise ContextMismatchError("operands from different fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        # ints and Fractions carry a denominator; floats do not
+        if hasattr(other, "denominator"):
             return self.field.const(other)
         return None
 

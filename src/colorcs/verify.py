@@ -80,9 +80,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
-from fractions import Fraction
-from typing import Callable, Iterable, Optional
 
 from .errors import CapExceededError
 from .models import RATIONAL, TRIG, ModelWorkspace
@@ -256,58 +253,102 @@ def _state_is_zero(state) -> bool:
 
 
 # -- instances and cases ------------------------------------------------------
+#
+# Plain classes with __slots__, not dataclasses: a dataclass generates and
+# compiles its methods when the module is imported, which would be most of
+# a short run's start-up.
 
 
-@dataclass
 class Instance:
-    label: str
-    lhs: Expr
-    rhs: Expr
-    cut: int = 0   # 0: exact; else the leading-order derivative degree
+    __slots__ = ("label", "lhs", "rhs", "cut")
+
+    def __init__(self, label: str, lhs: Expr, rhs: Expr, cut: int = 0):
+        self.label = label
+        self.lhs = lhs
+        self.rhs = rhs
+        self.cut = cut   # 0: exact; else the leading-order derivative degree
 
 
-@dataclass(frozen=True)
 class CaseSpec:
-    id: str
-    suite: str
-    title: str
-    min_sites: int
-    instances: Callable[[ModelWorkspace, "RunConfig"], Iterable[Instance]]
+    """One catalogued identity; ``instances(ws, cfg)`` yields its
+    Instances at one context."""
+    __slots__ = ("id", "suite", "title", "min_sites", "instances")
+
+    def __init__(self, id: str, suite: str, title: str, min_sites: int,
+                 instances):
+        self.id = id
+        self.suite = suite
+        self.title = title
+        self.min_sites = min_sites
+        self.instances = instances
 
 
-@dataclass
-class RunConfig:
-    contexts: tuple = DEFAULT_CONTEXTS
-    cases: Optional[tuple] = None          # None: the full catalog
-    lam: Optional[Fraction] = None         # None: keep the coupling symbolic
-    seed: int = DEFAULT_SEED
-    max_spin: int = 3
-    max_degree: int = 2
-    term_budget: Optional[int] = None
-    workers: int = 1
-    dump_residual: bool = False
+class _Record:
+    """repr and field-wise == for a record whose fields are its
+    ``__slots__``, in order."""
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__)
+
+    __hash__ = None
 
 
-@dataclass
-class IdentityReport:
-    id: str
-    suite: str
-    n: int
-    m: int
-    N: int
-    verdict: str
-    oracle_agrees: bool
-    instances: int
-    failed: int
-    residual_term_count: int
-    millis: int
-    note: str = ""
-    residuals: list = dc_field(default_factory=list)
+class RunConfig(_Record):
+    __slots__ = ("contexts", "cases", "lam", "seed", "max_spin",
+                 "max_degree", "term_budget", "workers", "dump_residual")
+
+    def __init__(self, contexts: tuple = DEFAULT_CONTEXTS,
+                 cases: tuple | None = None,   # None: the full catalog
+                 lam=None,                     # None: keep the coupling symbolic
+                 seed: int = DEFAULT_SEED, max_spin: int = 3,
+                 max_degree: int = 2, term_budget: int | None = None,
+                 workers: int = 1, dump_residual: bool = False):
+        self.contexts = contexts
+        self.cases = cases
+        self.lam = lam
+        self.seed = seed
+        self.max_spin = max_spin
+        self.max_degree = max_degree
+        self.term_budget = term_budget
+        self.workers = workers
+        self.dump_residual = dump_residual
+
+
+class IdentityReport(_Record):
+    __slots__ = ("id", "suite", "n", "m", "N", "verdict", "oracle_agrees",
+                 "instances", "failed", "residual_term_count", "millis",
+                 "note", "residuals")
+
+    def __init__(self, id: str, suite: str, n: int, m: int, N: int,
+                 verdict: str, oracle_agrees: bool, instances: int,
+                 failed: int, residual_term_count: int, millis: int,
+                 note: str = "", residuals: list | None = None):
+        self.id = id
+        self.suite = suite
+        self.n = n
+        self.m = m
+        self.N = N
+        self.verdict = verdict
+        self.oracle_agrees = oracle_agrees
+        self.instances = instances
+        self.failed = failed
+        self.residual_term_count = residual_term_count
+        self.millis = millis
+        self.note = note
+        self.residuals = [] if residuals is None else residuals
 
     def as_dict(self):
         """The fields in declaration order, an empty note or residual
         list left out."""
-        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        out = {k: getattr(self, k) for k in self.__slots__}
         for optional in ("note", "residuals"):
             if not out[optional]:
                 del out[optional]
@@ -620,7 +661,7 @@ def _recursion_instances(ws, cfg, gen, leading, tag):
                 continue
             step = Bracket(x2, Leaf(gen(s - 1, q + 2)))
             yield Instance(f"closed s={s} p={q}{tag}",
-                           Scale(step, Fraction(1, 2 * (q + s))),
+                           Scale(step, ws.ctx.field.const(1, 2 * (q + s))),
                            Leaf(gen(s, q)))
             yield Instance(f"leading s={s} p={q}{tag}", step,
                            Scale(Leaf(leading(s, q)), 2 * (q + s)),

@@ -374,17 +374,21 @@ for workers, contexts in (("1", "1,1,2;2,0,2"), ("2", "1,1,2")):
     rc = cli.main(["--cases", "eq2.7", "--contexts", contexts,
                    "--workers", workers, "--format", "structured"])
     assert rc == 0, (workers, contexts, rc)
-loaded = [m for m in ("multiprocessing", "concurrent.futures.process")
-          if m in sys.modules]
+unused = ("multiprocessing", "concurrent.futures.process", "dataclasses",
+          "inspect", "typing", "fractions", "decimal", "numbers",
+          "importlib.resources", "zipfile", "tempfile")
+loaded = [m for m in unused if m in sys.modules]
 assert loaded == [], loaded
 """
 
 
-def test_serial_run_never_imports_the_process_pool():
-    # a fresh interpreter, so that nothing the test session loaded counts
+def test_serial_run_imports_only_the_modules_it_uses():
+    # a fresh interpreter without site, so that neither the test session
+    # nor a site-packages .pth file loads a module the run does not use
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

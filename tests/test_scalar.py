@@ -173,6 +173,31 @@ def test_constants_and_fractions(F3):
     assert 2 - F3.one == F3.one
 
 
+def test_const_reads_integer_pairs_and_integer_ratios(F3):
+    assert F3.const(3, -6) == F3.const(-1, 2)
+    assert F3.const(0, 5) is F3.zero and F3.const(4, 4) is F3.one
+    with pytest.raises(PoleError):
+        F3.const(1, 0)
+    # an int, a Fraction and a float land on the pair Fraction(c) reads
+    for c in (7, -1, Fraction(-3, 4), Fraction(6, 8), 0.5, -2.25, 0.1):
+        want = Fraction(c)
+        f = F3.const(c)
+        assert f.num == {0: want.numerator}
+        assert f.den == {0: want.denominator}
+        assert f == F3.const(want.numerator, want.denominator)
+
+
+def test_operands_coerce_from_ints_and_fractions_not_floats(F3):
+    f = F3.x(1) / (F3.x(2) - F3.x(3))
+    assert f * Fraction(3, 2) == f * F3.const(3, 2)
+    assert Fraction(3, 2) * f == f * F3.const(3, 2)
+    assert f + 1 == 1 + f == f + F3.one
+    with pytest.raises(TypeError):
+        f * 0.5
+    with pytest.raises(TypeError):
+        f + 0.5
+
+
 def test_equality_is_between_functions(F3):
     # a constant function is not the number it takes, so == agrees with hash
     assert F3.one != 1 and F3.zero != 0

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,32 @@ def test_report_dict_keeps_field_order():
     full = _report(note="budget", residuals=["r"]).as_dict()
     assert list(full) == keys + ["note", "residuals"]
     assert (full["note"], full["residuals"]) == ("budget", ["r"])
+
+
+@pytest.mark.parametrize("extra", [
+    {}, dict(note="budget", residuals=[{"instance": "ab=12", "terms": []}])])
+def test_report_rebuilds_from_its_dict(extra):
+    rep = _report(**extra)
+    assert vf.IdentityReport(**rep.as_dict()) == rep
+    assert rep != _report(**extra, millis=2)
+    assert _report().residuals is not _report().residuals
+    text = repr(rep)
+    assert "id='eq3.1'" in text and "verdict='pass'" in text
+
+
+def test_run_config_defaults_and_pickle():
+    cfg = vf.RunConfig()
+    assert (cfg.contexts, cfg.cases, cfg.lam, cfg.seed, cfg.max_spin,
+            cfg.max_degree, cfg.term_budget, cfg.workers,
+            cfg.dump_residual) == (vf.DEFAULT_CONTEXTS, None, None,
+                                   vf.DEFAULT_SEED, 3, 2, None, 1, False)
+    custom = vf.RunConfig(contexts=((1, 1, 2),), cases=("eq2.7",),
+                          lam=Fraction(3, 2), seed=7, term_budget=50,
+                          workers=2, dump_residual=True)
+    back = pickle.loads(pickle.dumps(custom))
+    assert back == custom and back is not custom
+    assert back != cfg
+    assert "seed=7" in repr(custom)
 
 
 def test_manifest_verdict_deviation():
