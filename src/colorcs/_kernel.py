@@ -3,15 +3,17 @@
 A polynomial is ``dict[int, int]``: packed exponent key (see ``monomials``)
 mapping to a nonzero integer coefficient.  The zero polynomial is the empty
 dict.  Functions never mutate their inputs and never store zero coefficients.
-``BACKEND`` names this pure-Python implementation in benchmark and
-environment records.
+The arithmetic's one monomial order is the keys' own integer order, which
+is lex (see ``monomials``), so the leading term of a nonzero p is at
+``max(p)``.  ``BACKEND`` names this pure-Python implementation in benchmark
+and environment records.
 
 ``poly_divexact`` divides by a binomial that is exactly x_u - x_v, the
 divisor the gcd's candidate trial divisions use, in one linear pass instead
-of the general long division, whose leading-term search makes it quadratic
-in the dividend.  Every other divisor, and a dividend whose x_u and x_v
-exponents could carry out of the x_v field, takes the general loop; the
-result is the same either way.
+of the general long division in key order, whose search for each
+remainder's lead makes it quadratic in the dividend.  Every other divisor,
+and a dividend whose x_u and x_v exponents could carry out of the x_v
+field, takes the general loop; the result is the same either way.
 """
 
 from __future__ import annotations
@@ -93,20 +95,6 @@ def poly_diff(a, slot: int, shifts):
     return out
 
 
-def poly_lead(a, shifts):
-    """(key, coeff) of the graded-lex leading term.  a must be nonzero."""
-    best_k = -1
-    best_td = -1
-    for k in a:
-        td = 0
-        for sh in shifts:
-            td += (k >> sh) & _MASK
-        if td > best_td or (td == best_td and k > best_k):
-            best_td = td
-            best_k = k
-    return best_k, a[best_k]
-
-
 def poly_divexact(a, b, shifts):
     """Exact quotient a/b over Z, or None when b does not divide a exactly."""
     if not b:
@@ -176,13 +164,18 @@ def _divexact_binomial(a, b, sh_u, sh_v, shifts):
 
 
 def _divexact_general(a, b, shifts):
-    """Graded-lex long division; a and b nonzero."""
-    kb, cb = poly_lead(b, shifts)
+    """Long division in key order; a and b nonzero.  Any monomial order
+    gives the exact quotient.  Each step cancels the remainder's largest
+    key, so the loop ends at a zero remainder or at a lead that b's lead
+    does not divide."""
+    kb = max(b)
+    cb = b[kb]
     rem = dict(a)
     quo = {}
     items_b = list(b.items())
     while rem:
-        kr, cr = poly_lead(rem, shifts)
+        kr = max(rem)
+        cr = rem[kr]
         for sh in shifts:
             if ((kb >> sh) & _MASK) > ((kr >> sh) & _MASK):
                 return None

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .errors import CapExceededError, PoleError, UnknownNameError
 from .models import ModelWorkspace
@@ -72,7 +73,8 @@ def _build_parser():
     out.add_argument("--format", choices=("text", "structured"),
                      default="text")
     out.add_argument("--output", default=None,
-                     help="write the report here instead of stdout")
+                     help="write the report, case list or operator here "
+                          "instead of stdout")
     out.add_argument("--dump-residual", action="store_true",
                      help="include residual terms of failing instances")
     out.add_argument("--manifest", default=None,
@@ -168,7 +170,7 @@ def load_manifest(path=None):
     return doc
 
 
-def _print_operator(args, context, lam, parser):
+def _print_operator(args, context, lam, parser, out):
     ws = ModelWorkspace(*context)
     try:
         with ws.ctx.field.arithmetic_memo():
@@ -182,7 +184,7 @@ def _print_operator(args, context, lam, parser):
         parser.error(f"{args.print_operator!r} at --lambda {lam}: {exc}")
     except (ValueError, CapExceededError) as exc:
         parser.error(f"cannot build {args.print_operator!r}: {exc}")
-    print(op.to_str())
+    out.write(op.to_str() + "\n")
     return EXIT_OK
 
 
@@ -266,14 +268,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.list_cases:
-        for cid in sorted(CASES):
-            case = CASES[cid]
-            print(f"{cid:<18} {case.suite:<14} {case.title}")
-        return EXIT_OK
-
     # every option is checked before anything runs or prints, so an
-    # option --print-operator does not read is still a usage error
+    # option --list-cases or --print-operator does not read is still a
+    # usage error
     contexts = _parse_contexts(args, parser)
     lam = _parse_lambda(args.lam, parser)
     cases = _parse_cases(args.cases, parser)
@@ -291,23 +288,28 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         # ValueError covers malformed JSON and a document of the wrong shape
         parser.error(f"cannot read manifest: {exc}")
+    # an unwritable --output too, since every mode writes there
+    out = nullcontext(sys.stdout)
+    if args.output:
+        try:
+            out = open(args.output, "w")
+        except OSError as exc:
+            parser.error(f"cannot write output: {exc}")
 
-    if args.print_operator is not None:
-        return _print_operator(args, contexts[0], lam, parser)
-    cfg = RunConfig(
-        contexts=contexts, cases=cases, lam=lam, seed=args.seed,
-        max_spin=args.max_spin, max_degree=args.max_degree,
-        term_budget=args.term_budget,
-        workers=args.workers, dump_residual=args.dump_residual,
-    )
-    if not args.output:
-        return _run(cfg, manifest, args.format, sys.stdout)
-    # an unwritable report path is a usage error, found before any verdict
-    try:
-        fh = open(args.output, "w")
-    except OSError as exc:
-        parser.error(f"cannot write output: {exc}")
-    with fh:
+    with out as fh:
+        if args.list_cases:
+            for cid in sorted(CASES):
+                case = CASES[cid]
+                fh.write(f"{cid:<18} {case.suite:<14} {case.title}\n")
+            return EXIT_OK
+        if args.print_operator is not None:
+            return _print_operator(args, contexts[0], lam, parser, fh)
+        cfg = RunConfig(
+            contexts=contexts, cases=cases, lam=lam, seed=args.seed,
+            max_spin=args.max_spin, max_degree=args.max_degree,
+            term_budget=args.term_budget,
+            workers=args.workers, dump_residual=args.dump_residual,
+        )
         return _run(cfg, manifest, args.format, fh)
 
 

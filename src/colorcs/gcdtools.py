@@ -22,7 +22,6 @@ import math
 from ._kernel import (
     poly_divexact,
     poly_eval_var,
-    poly_lead,
     poly_mul,
     poly_scale,
 )
@@ -48,13 +47,13 @@ def poly_content(a) -> int:
     return g
 
 
-def poly_primitive(a, shifts):
-    """(content, primitive part) with the primitive part's leading coeff > 0."""
+def poly_primitive(a):
+    """(content, primitive part) with the primitive part's coefficient at its
+    largest key positive."""
     if not a:
         return 0, {}
     c = poly_content(a)
-    _, lc = poly_lead(a, shifts)
-    if lc < 0:
+    if a[max(a)] < 0:
         c = -c
     if c == 1:
         return 1, dict(a)
@@ -139,7 +138,7 @@ def _heugcd(f, g, shifts):
             h_eval = poly_gcd(ff, gg, shifts)[0]
             h = _interpolate(h_eval, xi, slot, shifts)
             if h:
-                _, h = poly_primitive(h, shifts)
+                _, h = poly_primitive(h)
                 qf = poly_divexact(f, h, shifts)
                 if qf is not None:
                     qg = poly_divexact(g, h, shifts)
@@ -158,7 +157,8 @@ def _cofactor(q, s, m):
 
 def poly_gcd(a, b, shifts, candidates=()):
     """(g, a/g, b/g): the gcd over Z, integer content included and leading
-    coefficient positive, with its cofactors.
+    coefficient positive, with its cofactors.  The leading coefficient
+    is the one at the largest key, as everywhere in the arithmetic.
 
     When g = 1 the cofactors are a and b themselves; when both operands
     are zero, all three are zero.  candidates: polynomials (primitive,
@@ -166,14 +166,14 @@ def poly_gcd(a, b, shifts, candidates=()):
     heuristic gcd.
     """
     if not a or not b:
-        c, p = poly_primitive(a or b, shifts)
+        c, p = poly_primitive(a or b)
         if not c:
             return {}, {}, {}
         unit = {0: 1 if c > 0 else -1}
         g = poly_scale(p, abs(c))
         return (g, unit, {}) if a else (g, {}, unit)
-    ca, fa = poly_primitive(a, shifts)
-    cb, fb = poly_primitive(b, shifts)
+    ca, fa = poly_primitive(a)
+    cb, fb = poly_primitive(b)
     c = math.gcd(ca, cb)
     ma = _monomial_content(fa, shifts)
     mb = _monomial_content(fb, shifts)

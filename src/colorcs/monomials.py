@@ -4,7 +4,10 @@ A monomial over ``nvars`` variables is stored as a single non-negative int:
 ``WIDTH`` bits per exponent, variable 0 in the *most* significant field.  With
 that layout a plain integer comparison of two packed monomials is exactly a
 lexicographic comparison of the exponent vectors, and multiplying monomials is
-a single integer addition.
+a single integer addition.  That key order is the arithmetic's one monomial
+order: a polynomial's leading term is at its largest key, and every sign
+convention and long division reads it there.  Graded lex (``grlex_key``) is
+only the order in which polynomials are printed.
 
 The coefficient layer orders variables as x_1 .. x_N, lam, x, y (positions
 first, then the coupling and the two auxiliary parameters), so slot 0 is x_1.
@@ -42,13 +45,7 @@ def unpack(key: int, shifts) -> tuple[int, ...]:
     return tuple((key >> sh) & _MASK for sh in shifts)
 
 
-def total_degree(key: int, shifts) -> int:
-    td = 0
-    for sh in shifts:
-        td += (key >> sh) & _MASK
-    return td
-
-
 def grlex_key(key: int, shifts) -> tuple[int, int]:
-    """Sort key for graded lexicographic order (total degree, then lex)."""
-    return (total_degree(key, shifts), key)
+    """Sort key for graded lexicographic order (total degree, then lex),
+    the printing order."""
+    return (sum((key >> sh) & _MASK for sh in shifts), key)

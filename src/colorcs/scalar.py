@@ -5,7 +5,8 @@ Polynomials are the packed-int dicts from the kernel layer; a
 RationalFunction is a canonical pair (num, den) over Z with
 
   * gcd(num, den) = 1, integer contents included,
-  * den's leading coefficient (graded lex) positive,
+  * den's coefficient at its largest packed key positive (the key order
+    is lex, the arithmetic's one monomial order; see ``monomials``),
   * zero represented as (0, 1).
 
 Structural equality of canonical pairs is then mathematical equality, which
@@ -72,7 +73,6 @@ from . import monomials
 from ._kernel import (
     poly_add,
     poly_diff,
-    poly_lead,
     poly_mul,
     poly_neg,
     poly_scale,
@@ -85,6 +85,14 @@ _MASK = monomials._MASK
 
 def _fingerprint(p):
     return tuple(sorted(p.items()))
+
+
+def _signed(num, den):
+    """num/den with the canonical sign: both negated when den's
+    coefficient at its largest key is negative."""
+    if den[max(den)] < 0:
+        return poly_neg(num), poly_neg(den)
+    return num, den
 
 
 def _memoized(symmetric):
@@ -239,10 +247,7 @@ class ScalarField:
         """Canonicalize an input pair of polynomials num/den."""
         if not den:
             raise PoleError("zero denominator")
-        _, lc = poly_lead(den, self.shifts)
-        if lc < 0:
-            num = poly_neg(num)
-            den = poly_neg(den)
+        num, den = _signed(num, den)
         return self._cancel(num, den, self._one_p)
 
     def monomial(self, exps, coeff=1):
@@ -446,12 +451,7 @@ class RationalFunction:
             return NotImplemented
         if not o.num:
             raise PoleError("division by zero")
-        num, den = o.den, o.num
-        _, lc = poly_lead(den, self.field.shifts)
-        if lc < 0:
-            num = poly_neg(num)
-            den = poly_neg(den)
-        return self.__mul__(self.field._make(num, den))
+        return self.__mul__(self.field._make(*_signed(o.den, o.num)))
 
     # -- calculus and substitution ------------------------------------------
 
@@ -484,8 +484,9 @@ class RationalFunction:
 
         A renaming of variables is a ring automorphism, so num and den
         stay coprime with the same contents, and no gcd is needed: only
-        den's graded-lex lead can turn negative, and then both are
-        negated.  A polynomial free of the positions is kept as it is."""
+        the sign at den's largest key can turn negative, and then both
+        are negated.  A polynomial free of the positions is kept as it
+        is."""
         f = self.field
         sh = f.shifts
         moves = [(sh[k], sh[d]) for k, d in enumerate(f._site_perm(sigma))]
@@ -507,9 +508,7 @@ class RationalFunction:
         num, den = image(self.num), image(self.den)
         if num is self.num and den is self.den:
             return self
-        if poly_lead(den, sh)[1] < 0:
-            num, den = poly_neg(num), poly_neg(den)
-        return f._make(num, den)
+        return f._make(*_signed(num, den))
 
     def substitute(self, slot: int, value):
         """Replace the variable in `slot` by an int, Fraction or function;
@@ -565,7 +564,8 @@ class RationalFunction:
 
 
 def poly_str(p, field):
-    """Deterministic human-readable form, graded-lex descending."""
+    """Deterministic human-readable form, graded-lex descending: the
+    printing order, not the arithmetic's."""
     if not p:
         return "0"
     items = sorted(

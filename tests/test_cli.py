@@ -127,21 +127,46 @@ def test_print_operator_needs_exactly_one_context(contexts, capsys):
     assert "--print-operator" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [
+BAD_RUN_OPTIONS = pytest.mark.parametrize("extra", [
     ["--cases", "bogus"],
     ["--workers", "0"],
     ["--max-spin", "0"],
     ["--max-degree", "-1"],
     ["--term-budget", "0"],
     ["--manifest", "/nonexistent/manifest.json"],
+    ["--output", "/nonexistent/dir/x"],
     ["--cases", "bogus", "--workers", "0", "--manifest", "/nonexistent"],
 ], ids=["cases", "workers", "max-spin", "max-degree", "term-budget",
-        "manifest", "all"])
+        "manifest", "output", "all"])
+
+
+@BAD_RUN_OPTIONS
 def test_print_operator_checks_the_run_options(extra, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--print-operator", "X2", "--contexts", "1,1,2"] + extra)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@BAD_RUN_OPTIONS
+def test_list_cases_checks_the_run_options(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--list-cases", "--contexts", "1,1,2"] + extra)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--print-operator", "T[1,1,2]", "--contexts", "1,1,2"],
+    ["--list-cases"],
+], ids=["print-operator", "list-cases"])
+def test_every_mode_writes_to_output(argv, tmp_path, capsys):
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    target = tmp_path / "out.txt"
+    assert cli.main(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == want
 
 
 def test_rejects_zero_workers(monkeypatch, pass_manifest):

@@ -3,15 +3,16 @@
 Operands are drawn by hypothesis from the ring the model builders stay in:
 a numerator in every slot over a denominator that is content times a
 monomial in the positions times a product of powers of x_i - x_j, for
-N = 1..4.  Both are built in sympy's ZZ[x1..xN, lam, x, y] (graded lex,
-generators in the field's slot order) and enter colorcs only through
-``ScalarField.frac``, so no operand is built by the arithmetic under test.
+N = 1..4.  Both are built in sympy's ZZ[x1..xN, lam, x, y] (lex, with the
+generators in the field's slot order: the order of the packed keys) and
+enter colorcs only through ``ScalarField.frac``, so no operand is built by
+the arithmetic under test.
 
 Every result G/H is judged twice, with sympy's arithmetic only:
 
   * its value, by cross-multiplication against its operands;
   * its canonical form: gcd(G, H) = 1 over ZZ, integer content included,
-    H's graded-lex leading coefficient positive, and zero as ({}, {0: 1}).
+    H's lex leading coefficient positive, and zero as ({}, {0: 1}).
 
 Canonical pairs of equal value are then structurally equal, which is what
 the operator layer relies on.  The seed is fixed (``derandomize``), so a
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
-from sympy.polys.orderings import grlex
+from sympy.polys.orderings import lex
 from sympy.polys.rings import ring
 
 from colorcs import PoleError, ScalarField, monomials
@@ -40,7 +41,7 @@ class Judge:
 
     def __init__(self, N):
         self.field = ScalarField(N)
-        self.R, *self.gens = ring(self.field.names, ZZ, grlex)
+        self.R, *self.gens = ring(self.field.names, ZZ, lex)
         self.RQ = self.R.clone(domain=QQ)
 
     def packed(self, p):

@@ -158,6 +158,19 @@ def test_canonical_form_is_route_independent(F3):
     assert F3.frac(_pm(F3, w.num, junk.num), _pm(F3, w.den, junk.num)) == w
 
 
+def test_denominator_sign_is_read_at_the_largest_key(F3):
+    # x2^2 - x1 is not homogeneous: its graded-lex lead is x2^2, but its
+    # largest packed key (lex, x1 first) is x1, so the canonical pair is
+    # (-1)/(x1 - x2^2)
+    x1, x2 = F3.x(1), F3.x(2)
+    f = F3.frac({0: 1}, (x2 * x2 - x1).num)
+    assert f.den[max(f.den)] > 0
+    assert (f.num, f.den) == ({0: -1}, (x1 - x2 * x2).num)
+    # division and a renaming of the sites follow the same sign rule
+    assert F3.one / (x2 * x2 - x1) == f
+    assert F3.frac({0: 1}, (x1 * x1 - x2).num).relabel((2, 1, 3)) == f
+
+
 def _pm(field, a, b):
     from colorcs._kernel import poly_mul
 
