@@ -167,8 +167,19 @@ def _divexact_general(a, b, shifts):
     """Long division in key order; a and b nonzero.  Any monomial order
     gives the exact quotient.  Each step cancels the remainder's largest
     key, so the loop ends at a zero remainder or at a lead that b's lead
-    does not divide."""
+    does not divide.  An exact quotient has degree deg_v(a) - deg_v(b) in
+    each variable v, so a quotient term past that bound ends the loop too:
+    every remainder key then stays within a's degrees, where no field can
+    carry into its neighbour, and a failing division stops early."""
     kb = max(b)
+    # per slot: the exponents a remainder's lead may have, from b's lead's
+    # (divisible) to that plus the room deg_v(a) - deg_v(b) (within bound)
+    bounds = []
+    for sh in shifts:
+        lo = (kb >> sh) & _MASK
+        room = max((k >> sh) & _MASK for k in a) \
+            - max((k >> sh) & _MASK for k in b)
+        bounds.append((sh, lo, lo + room))
     cb = b[kb]
     rem = dict(a)
     quo = {}
@@ -176,8 +187,8 @@ def _divexact_general(a, b, shifts):
     while rem:
         kr = max(rem)
         cr = rem[kr]
-        for sh in shifts:
-            if ((kb >> sh) & _MASK) > ((kr >> sh) & _MASK):
+        for sh, lo, hi in bounds:
+            if not lo <= (kr >> sh) & _MASK <= hi:
                 return None
         qc, r = divmod(cr, cb)
         if r:

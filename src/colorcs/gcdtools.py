@@ -177,11 +177,7 @@ def poly_gcd(a, b, shifts, candidates=()):
     c = math.gcd(ca, cb)
     ma = _monomial_content(fa, shifts)
     mb = _monomial_content(fb, shifts)
-    acc = 0
-    for sh in shifts:
-        ea = (ma >> sh) & _MASK
-        eb = (mb >> sh) & _MASK
-        acc |= (ea if ea < eb else eb) << sh
+    acc = _monomial_content({ma: 1, mb: 1}, shifts)
     fa = _strip_monomial(fa, ma)
     fb = _strip_monomial(fb, mb)
     swapped = len(fa) > len(fb)

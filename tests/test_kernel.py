@@ -211,6 +211,64 @@ def test_divexact_rejects_inexact():
     assert _kernel.poly_divexact(_kernel.poly_add(x1, one), x1, SHIFTS) is None
 
 
+def test_divexact_bounds_each_quotient_term_by_the_degrees(monkeypatch):
+    # an exact quotient has degree deg_v(a) - deg_v(b) in each variable v;
+    # past that bound the key-order loop would push x2's exponent over the
+    # cap, where x2^512 + x2^512 carries into x1's field and the remainder
+    # cancels to zero with a wrong quotient
+    shifts = monomials.make_shifts(2)
+    x1, x2 = 1 << shifts[0], 1 << shifts[1]
+    assert _kernel.poly_divexact(
+        {2 * x1: 1, 512 * x2: -1}, {x1: 1, 512 * x2: -1}, shifts) is None
+
+    steps = []
+
+    def counting_max(p):
+        # b's lead once, then one remainder lead per step
+        if isinstance(p, dict):
+            steps.append(len(p))
+        return max(p)
+
+    monkeypatch.setattr(_kernel, "max", counting_max, raising=False)
+    for m in (1, 600, monomials.MAX_EXP):
+        for k in (1, 2, 3):
+            b = {x1: 1, k * x2: -1}
+            # x1^m / (x1 - x2^k): b has x2 and a does not
+            del steps[:]
+            assert _kernel.poly_divexact({m * x1: 1}, b, shifts) is None
+            assert len(steps) <= 2
+            # x1^m x2^k / (x1 - x2^k): the first quotient term's remainder
+            # has x2^(2k), past a's degree
+            del steps[:]
+            assert _kernel.poly_divexact({m * x1 + k * x2: 1}, b, shifts) \
+                is None
+            assert len(steps) <= 3
+
+
+def test_divexact_near_the_cap_is_exact_or_none():
+    rng = random.Random(31)
+    shifts = monomials.make_shifts(2)
+    big = (monomials.MAX_EXP - 1) // 2
+    exps = (0, 1, 2, 3, big - 1, big)
+
+    def near(n):
+        return {(rng.choice(exps), rng.choice(exps)):
+                rng.choice((-2, -1, 1, 2)) for _ in range(n)}
+
+    def pk(a):
+        return {monomials.pack(k, shifts): c for k, c in a.items()}
+
+    for _ in range(300):
+        a, b, q = near(rng.randint(1, 3)), near(rng.randint(2, 3)), near(2)
+        if len(b) < 2:
+            continue
+        got = _kernel.poly_divexact(pk(a), pk(b), shifts)
+        if got is not None:
+            got = {monomials.unpack(k, shifts): c for k, c in got.items()}
+            assert r_mul(got, b) == a
+        assert _kernel.poly_divexact(pk(r_mul(q, b)), pk(b), shifts) == pk(q)
+
+
 def binom(sa, sb):
     return {1 << SHIFTS[sa]: 1, 1 << SHIFTS[sb]: -1}
 
