@@ -47,12 +47,16 @@ caller reads:
     ``operators``: 0 or less is the full build, under its usual memo key,
     and a cut build is memoized under (name, args, cut).
 
-Site indices are 1-based, color indices run 1..n+m.
+Site indices are 1-based, color indices run 1..n+m.  Every builder works
+at every N >= 1: a sum over site pairs or triples runs over the ordered
+tuples of distinct sites (``_site_tuples``), which are none at one site,
+so there H is its kinetic part, M = 0 and L is its diagonal.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 
 from .errors import UnknownNameError
@@ -120,9 +124,9 @@ class ModelWorkspace:
     def unit(self, i: int, a: int, b: int) -> OperatorSum:
         return self.ctx.unit(i, a, b)
 
-    def _require_pairs(self, what: str):
-        if self.N < 2:
-            raise ValueError(f"{what} needs at least two sites")
+    def _site_tuples(self, k: int):
+        """Ordered k-tuples of distinct sites."""
+        return itertools.permutations(range(1, self.N + 1), k)
 
     # -- Hamiltonians ------------------------------------------------------
 
@@ -130,7 +134,6 @@ class ModelWorkspace:
     def hamiltonian(self, kind: str) -> OperatorSum:
         if kind not in _KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        self._require_pairs("the Hamiltonian")
         ctx, f = self.ctx, self.ctx.field
         lam = self._lam
         kinetic = ctx.zero()
@@ -138,70 +141,52 @@ class ModelWorkspace:
         if kind == RATIONAL:
             for i in range(1, self.N + 1):
                 kinetic = kinetic + ctx.deriv(i, 2).scale(self._half)
-            for i in range(1, self.N + 1):
-                for j in range(1, self.N + 1):
-                    if i == j:
-                        continue
-                    w = f.omega(i, j)
-                    pair = pair + ctx.swap(i, j).scale(w.d_dx(i))
-                    pair = pair + ctx.scalar(lam * w * f.omega(j, i))
+            for i, j in self._site_tuples(2):
+                w = f.omega(i, j)
+                pair = pair + ctx.swap(i, j).scale(w.d_dx(i))
+                pair = pair + ctx.scalar(lam * w * f.omega(j, i))
         else:
             for i in range(1, self.N + 1):
                 xd = ctx.coord(i).mul(ctx.deriv(i))
                 kinetic = kinetic + xd.mul(xd).scale(self._half)
-            for i in range(1, self.N + 1):
-                for j in range(1, self.N + 1):
-                    if i == j:
-                        continue
-                    kern = (f.x(i) * f.x(j)) / ((f.x(i) - f.x(j)) * (f.x(j) - f.x(i)))
-                    pair = pair + (ctx.swap(i, j) + ctx.scalar(lam)).scale(kern)
+            for i, j in self._site_tuples(2):
+                kern = (f.x(i) * f.x(j)) / ((f.x(i) - f.x(j)) * (f.x(j) - f.x(i)))
+                pair = pair + (ctx.swap(i, j) + ctx.scalar(lam)).scale(kern)
         return kinetic + pair.scale(lam * self._half)
 
     # -- Lax pairs ---------------------------------------------------------
-
-    def lax(self, kind: str, which: str):
-        """The N x N Lax matrix "L" or its partner "M", row-major tuples."""
-        self._require_pairs("a Lax matrix")
-        return self._lax_matrix(kind, which)
 
     def _kernel(self, kind: str, i: int, j: int):
         f = self.ctx.field
         return f.omega(i, j) if kind == RATIONAL else f.theta(i, j)
 
     @_memoized
-    def _lax_matrix(self, kind: str, which: str):
+    def lax(self, kind: str, which: str):
+        """The N x N Lax matrix "L" or its partner "M", row-major tuples.
+
+        Off the diagonal, L_ij = lam K_ij P_ij and M_ij = lam K_ij K_ji P_ij
+        for the model's kernel K; L_ii is d_i or x_i d_i + 1/2, and M_ii is
+        minus the rest of row i, so the rows of M sum to zero."""
         if kind not in _KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         if which not in ("L", "M"):
             raise ValueError("which must be 'L' or 'M'")
         ctx, lam = self.ctx, self._lam
-        rows = []
-        for i in range(1, self.N + 1):
-            row = []
-            for j in range(1, self.N + 1):
-                if which == "L":
-                    if i == j:
-                        if kind == RATIONAL:
-                            ent = ctx.deriv(i)
-                        else:
-                            ent = ctx.coord(i).mul(ctx.deriv(i)) \
-                                + ctx.identity().scale(self._half)
-                    else:
-                        ent = ctx.swap(i, j).scale(lam * self._kernel(kind, i, j))
-                else:
-                    if i == j:
-                        ent = ctx.zero()
-                        for k in range(1, self.N + 1):
-                            if k == i:
-                                continue
-                            kern = self._kernel(kind, i, k) * self._kernel(kind, k, i)
-                            ent = ent - ctx.swap(i, k).scale(lam * kern)
-                    else:
-                        kern = self._kernel(kind, i, j) * self._kernel(kind, j, i)
-                        ent = ctx.swap(i, j).scale(lam * kern)
-                row.append(ent)
-            rows.append(tuple(row))
-        return tuple(rows)
+        rows = [[ctx.zero()] * self.N for _ in range(self.N)]
+        for i, j in self._site_tuples(2):
+            kern = self._kernel(kind, i, j)
+            if which == "M":
+                kern = kern * self._kernel(kind, j, i)
+            rows[i - 1][j - 1] = ctx.swap(i, j).scale(lam * kern)
+        for i, row in enumerate(rows, 1):
+            if which == "M":
+                row[i - 1] = -sum(row, ctx.zero())
+            elif kind == RATIONAL:
+                row[i - 1] = ctx.deriv(i)
+            else:
+                row[i - 1] = ctx.coord(i).mul(ctx.deriv(i)) \
+                    + ctx.identity().scale(self._half)
+        return tuple(map(tuple, rows))
 
     def _site_image(self, i: int, op: OperatorSum) -> OperatorSum:
         """op, a site-1 row, renamed by the swap of sites 1 and i."""
@@ -225,7 +210,7 @@ class ModelWorkspace:
             return self.ctx.zero() if cut else self.ctx.identity()
         if i > 1:
             return self._site_image(i, self._row_sum(kind, p, 1, cut=cut))
-        lax = self._lax_matrix(kind, "L")
+        lax = self.lax(kind, "L")
         return self._site_sum(lambda k: lax[0][k - 1].mul(
             self._row_sum(kind, p - 1, k, cut=cut - 1), cut))
 
@@ -282,10 +267,10 @@ class ModelWorkspace:
     # -- loop generators -------------------------------------------------------
 
     @_memoized
-    def loop_J(self, p: int, a: int, b: int, cut: int = 0) -> OperatorSum:
+    def loop_J(self, p: int, a: int, b: int) -> OperatorSum:
         """J_p with color indices (a, b), built from the rational Lax: the
         spin-1 member of the Q family."""
-        return self.q_gen(1, p, a, b, cut=cut)
+        return self.q_gen(1, p, a, b)
 
     @_memoized
     def loop_K(self, p: int, a: int, b: int) -> OperatorSum:
@@ -295,10 +280,10 @@ class ModelWorkspace:
         return self._power_sum(p, 0, (a, b))
 
     @_memoized
-    def j_scalar(self, p: int, cut: int = 0) -> OperatorSum:
+    def j_scalar(self, p: int) -> OperatorSum:
         """Colorless total sum of (L^p)_{ij}: the spin-1 member of the W
         family."""
-        return self.w_gen(1, p, cut=cut)
+        return self.w_gen(1, p)
 
     # -- signed color contractions --------------------------------------------
 
@@ -349,27 +334,21 @@ class ModelWorkspace:
             xd = ctx.coord(i).mul(ctx.deriv(i)) + ctx.identity().scale(self._half)
             acc = acc + self.unit(i, a, b).mul(xd.mul(xd))
         two = ctx.zero()
-        for i in range(1, self.N + 1):
-            for j in range(1, self.N + 1):
-                if i == j:
-                    continue
-                th = f.theta(i, j)
-                inner = ctx.scalar(f.x(i) * th.d_dx(i)) \
-                    + (ctx.coord(i).mul(ctx.deriv(i))
-                       + ctx.coord(j).mul(ctx.deriv(j))
-                       + ctx.identity()).scale(th)
-                two = two + self.contracted_pair(i, j, a, b).mul(inner)
+        for i, j in self._site_tuples(2):
+            th = f.theta(i, j)
+            inner = ctx.scalar(f.x(i) * th.d_dx(i)) \
+                + (ctx.coord(i).mul(ctx.deriv(i))
+                   + ctx.coord(j).mul(ctx.deriv(j))
+                   + ctx.identity()).scale(th)
+            two = two + self.contracted_pair(i, j, a, b).mul(inner)
         acc = acc + two.scale(lam)
         three = ctx.zero()
-        for i in range(1, self.N + 1):
-            for j in range(1, self.N + 1):
-                if j == i:
-                    continue
-                for k in range(1, self.N + 1):
-                    if k == j:
-                        continue
-                    kern = f.theta(i, j) * f.theta(j, k)
-                    three = three + self.contracted_triple(i, j, k, a, b).scale(kern)
+        # i -> j -> k either returns to i or goes on to a third site
+        walks = itertools.chain(((i, j, i) for i, j in self._site_tuples(2)),
+                                self._site_tuples(3))
+        for i, j, k in walks:
+            kern = f.theta(i, j) * f.theta(j, k)
+            three = three + self.contracted_triple(i, j, k, a, b).scale(kern)
         return acc + three.scale(lam * lam)
 
     # -- Serre defect tensors -----------------------------------------------
@@ -388,16 +367,6 @@ class ModelWorkspace:
         t0cb = self.yangian_T(0, c, b)
         return (t0ad.mul(t1cb) - t1ad.mul(t0cb)).scale(-self._beta_sign(b, c, d))
 
-    def _distinct_triples(self):
-        for i in range(1, self.N + 1):
-            for j in range(1, self.N + 1):
-                if j == i:
-                    continue
-                for k in range(1, self.N + 1):
-                    if k == i or k == j:
-                        continue
-                    yield i, j, k
-
     def _mixed_core(self, a, b, c, d, deriv_part, kern2, kern3, kern_tail):
         """Shared shape of the three graded defect tensors.
 
@@ -409,15 +378,12 @@ class ModelWorkspace:
         ctx = self.ctx
         core = ctx.zero()
         tail = ctx.zero()
-        for i in range(1, self.N + 1):
-            for j in range(1, self.N + 1):
-                if i == j:
-                    continue
-                word = ctx.from_units([(i, a, d), (j, c, b)])
-                core = core + word.mul(deriv_part(i, j))
-                tail = tail + ctx.from_units([(i, a, b), (j, c, d)]) \
-                    .scale(kern_tail(i, j))
-        for i, j, k in self._distinct_triples():
+        for i, j in self._site_tuples(2):
+            word = ctx.from_units([(i, a, d), (j, c, b)])
+            core = core + word.mul(deriv_part(i, j))
+            tail = tail + ctx.from_units([(i, a, b), (j, c, d)]) \
+                .scale(kern_tail(i, j))
+        for i, j, k in self._site_tuples(3):
             core = core + self.contracted_pair(i, j, a, d) \
                 .mul(self.unit(k, c, b)).scale(kern2(i, j, k))
             core = core - self.unit(i, a, d) \
@@ -486,12 +452,9 @@ class ModelWorkspace:
             lambda i, j: (lam + lam) / (f.x(i) - f.x(j)),
         )
         ytail = ctx.zero()
-        for i in range(1, self.N + 1):
-            for j in range(1, self.N + 1):
-                if i == j:
-                    continue
-                ytail = ytail + ctx.from_units([(i, a, d), (j, c, b)]) \
-                    .scale(f.x(i) - f.x(j))
+        for i, j in self._site_tuples(2):
+            ytail = ytail + ctx.from_units([(i, a, d), (j, c, b)]) \
+                .scale(f.x(i) - f.x(j))
         return self.tensor_O(a, b, c, d) \
             + xblock.scale(f.aux_x) \
             + ytail.scale(self._beta_sign(b, c, d)).scale(f.aux_y)

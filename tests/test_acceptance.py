@@ -6,11 +6,14 @@ not asserted; the prints make a slow environment diagnosable without
 turning timing jitter into failures.
 """
 
+import itertools
+import json
 import time
 
 import pytest
 
 from colorcs import cli
+from colorcs.models import ModelWorkspace
 from colorcs.verify import (
     CASES,
     RunConfig,
@@ -169,3 +172,43 @@ def test_criterion_8_determinism():
         return out
 
     assert strip(first) == strip(second)
+
+
+def test_criterion_9_one_site_contexts(capsys):
+    # every case runs at one site; only the site-pair cases have no
+    # instances, and the manifest pins the fails the known rules predict
+    t0 = time.perf_counter()
+    rc = cli.main(["--contexts", "1,1,1;2,0,1;2,1,1",
+                   "--format", "structured"])
+    elapsed = time.perf_counter() - t0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    print(f"\n[acceptance] full catalog at one site: {elapsed:.1f}s")
+    assert rc == 0
+    assert len(reports) == 3 * len(CASES)
+    assert all(r["oracle_agrees"] for r in reports)
+    empty = {r["id"] for r in reports if r["verdict"] == "empty-quantifier"}
+    assert empty == {"eq2.10", "supercommutation", "p-conjugation"}
+
+
+MIXED_TOWER_CONTEXTS = ((1, 0, 1), (1, 1, 1), (2, 0, 1), (2, 1, 1),
+                        (2, 0, 2), (1, 1, 2), (2, 1, 2))
+
+
+def test_criterion_10_mixed_tower_rule():
+    # eq3.21's residual is (n - m - 1) lam [J0^{ab}, J0^{cd}] and
+    # eq3.21-alt's is (n - m) lam times the same bracket: each fails
+    # exactly where its factor and the bracket are nonzero, leaving the
+    # bracket's term count summed over the quads
+    reports, elapsed, _ = _run(("eq3.21", "eq3.21-alt"), MIXED_TOWER_CONTEXTS)
+    print(f"\n[acceptance] mixed-tower rule: {elapsed:.1f}s")
+    by_key = {(r.id, r.n, r.m, r.N): r for r in reports}
+    for n, m, N in MIXED_TOWER_CONTEXTS:
+        ws = ModelWorkspace(n, m, N)
+        bracket = sum(len(ws.loop_J(0, a, b).bracket(ws.loop_J(0, c, d)))
+                      for a, b, c, d in itertools.product(ws.colors(),
+                                                          repeat=4))
+        for cid, factor in (("eq3.21", n - m - 1), ("eq3.21-alt", n - m)):
+            rep = by_key[cid, n, m, N]
+            want = bracket if factor else 0
+            assert rep.residual_term_count == want, (cid, (n, m, N))
+            assert (rep.verdict == "fail") == (want > 0), (cid, (n, m, N))

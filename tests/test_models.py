@@ -51,12 +51,19 @@ def test_hamiltonians_symmetric_under_site_swap(ws112):
         assert p12.mul(h).mul(p12) == h
 
 
-def test_hamiltonian_needs_two_sites():
+def test_builders_at_one_site():
+    # with one site the pair sums are empty: H is its kinetic part, M is
+    # zero and L is its diagonal
     ws = ModelWorkspace(1, 1, 1)
-    with pytest.raises(ValueError):
-        ws.hamiltonian(RATIONAL)
-    with pytest.raises(ValueError):
-        ws.lax(TRIG, "L")
+    ctx = ws.ctx
+    half = Fraction(1, 2)
+    xd = ctx.coord(1).mul(ctx.deriv(1))
+    assert ws.hamiltonian(RATIONAL) == ctx.deriv(1, 2).scale(half)
+    assert ws.hamiltonian(TRIG) == xd.mul(xd).scale(half)
+    for kind in (RATIONAL, TRIG):
+        assert ws.lax(kind, "M") == ((ctx.zero(),),)
+    assert ws.lax(RATIONAL, "L") == ((ctx.deriv(1),),)
+    assert ws.lax(TRIG, "L") == ((xd + ctx.identity().scale(half),),)
 
 
 def test_lax_diagonals(ws112):
@@ -353,7 +360,7 @@ def test_registry_rejects_bad_names(ws112, bad):
 _MEMOIZED = {
     "unit": (1, 1, 2),
     "hamiltonian": (TRIG,),
-    "_lax_matrix": (RATIONAL, "M"),
+    "lax": (RATIONAL, "M"),
     "_row_sum": (RATIONAL, 1, 2),
     "_spin_row": (2, 1, 2),
     "yangian_T": (1, 1, 2),

@@ -141,10 +141,20 @@ def test_plain_formal_unit_holds_on_even_colors(ws202):
 
 
 def test_empty_quantifier_below_min_sites():
+    # the quantifier alone decides: the Lax evolution has one instance per
+    # model at one site, the exchange rules need a site pair
     ws = ModelWorkspace(1, 1, 1)
-    rep = run_one(ws, "eq2.11")
-    assert rep.verdict == "empty-quantifier"
-    assert rep.instances == 0
+    lax = run_one(ws, "eq2.11")
+    assert (lax.verdict, lax.instances) == ("pass", 2)
+    exchange = run_one(ws, "eq2.10")
+    assert (exchange.verdict, exchange.instances) == ("empty-quantifier", 0)
+    # the manifest comparison expects empty-quantifier below min_sites only
+    manifest = {"seed": vf.DEFAULT_SEED, "default": "pass", "overrides": {}}
+    cfg = vf.RunConfig(contexts=((1, 1, 1),))
+    assert not vf.compare_to_manifest([lax, exchange], manifest, cfg)
+    for rep, verdict in ((lax, "empty-quantifier"), (exchange, "pass")):
+        rep.verdict = verdict
+        assert vf.compare_to_manifest([rep], manifest, cfg)
 
 
 def test_single_site_context_still_runs_site_local_cases():
