@@ -21,6 +21,12 @@ basis state equal to in, and a product w1 w2 is nonzero only when
 w1[1] == w2[0].  Callers find those matches with a dictionary lookup on the
 tuples; ``full_word_mul`` and ``full_word_act`` then compute only the sign,
 and the resulting word or state reuses tuples the operands already hold.
+``full_word_mul`` reads its sign from two tables its ``GradingContext``
+builds once: the odd-color mask of each basis state (bit k for site
+k + 1), whose xor over a word's out and in states is the mask of its odd
+units, and the sign of w1 w2 for every pair of odd-unit masks.
+``full_word_act`` keeps its site-by-site loop, so the oracle's action
+shares no code with the product's sign.
 ``full_word_relabel`` renames the sites of a word and returns the Koszul
 sign of putting its odd units back in ascending site order.
 """
@@ -44,6 +50,14 @@ class GradingContext:
         self.dim = n + m
         self.colors = tuple(range(1, n + m + 1))
         self._par = (None,) + (0,) * n + (1,) * m
+        # full_word_mul's tables (module docstring): the odd-color mask
+        # of each basis state, bit k for site k + 1, and the sign of a
+        # product at index m1 << N | m2 of its odd-unit masks
+        self._odd_mask = {
+            st: sum(1 << k for k, c in enumerate(st) if self._par[c])
+            for st in self.basis_states()
+        }
+        self._word_sign = _word_sign_table(N)
 
     def parity(self, a: int) -> int:
         if not 1 <= a <= self.dim:
@@ -160,24 +174,39 @@ def permutation_terms(ctx, i, j):
 # -- full-support word kernel ------------------------------------------------
 
 
+def _word_sign_table(N):
+    """The sign of w1 w2 for every pair of odd-unit masks, at index
+    m1 << N | m2: (-1) to the number of pairs of an odd unit of w1 and
+    an odd unit of w2 at a lower site."""
+    # below[m2]: the sites with an odd number of m2's sites below them
+    below = []
+    for m2 in range(1 << N):
+        b = 0
+        for k in range(1, N):
+            if (m2 & ((1 << k) - 1)).bit_count() & 1:
+                b |= 1 << k
+        below.append(b)
+    return tuple(
+        -1 if (m1 & b).bit_count() & 1 else 1
+        for m1 in range(1 << N) for b in below
+    )
+
+
 def full_word_mul(ctx, w1, w2):
     """(sign, word) for the product w1 w2 of full-support words that
     match: in(w1) == out(w2), that is w1[1] == w2[0].
 
     The sign moves each unit of w2 left past the units of w1 at higher
-    sites; same-site contraction itself is sign-free.  The product is
+    sites; same-site contraction itself is sign-free.  A unit is odd
+    where its out and in colors differ in parity, so a word's odd-unit
+    mask is the xor of its two states' odd-color masks, and the sign is
+    read from the context's table of mask pairs.  The product is
     (out(w1), in(w2)).
     """
-    par = ctx._par
-    exp = 0
-    pref = 0
-    for a1, b1, a2, b2 in zip(w1[0], w1[1], w2[0], w2[1]):
-        if (par[a1] + par[b1]) & 1:
-            exp += pref
-        pref += (par[a2] + par[b2]) & 1
-    if exp & 1:
-        return -1, (w1[0], w2[1])
-    return 1, (w1[0], w2[1])
+    mask = ctx._odd_mask
+    mid = mask[w1[1]]
+    sign = ctx._word_sign[(mask[w1[0]] ^ mid) << ctx.N | mid ^ mask[w2[1]]]
+    return sign, (w1[0], w2[1])
 
 
 def full_word_relabel(ctx, key, dest):

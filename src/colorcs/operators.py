@@ -314,7 +314,7 @@ class OperatorSum:
                 out[key] = -g if subtract else g
             else:
                 s = f - g if subtract else f + g
-                if s:
+                if s.num:
                     out[key] = s
                 else:
                     del out[key]
@@ -365,7 +365,8 @@ class OperatorSum:
             if matches is None:
                 continue
             p_total = sum(p)
-            nz = [i for i in range(ctx.N) if p[i]]
+            if p_total:
+                nz = [i for i in range(ctx.N) if p[i]]
             for (w2, q), g in matches:
                 # a Leibniz term moves |t| derivatives onto g and keeps
                 # degree p_total + sum(q) - |t|, so the cut bounds |t|
@@ -512,16 +513,12 @@ class OperatorSum:
                 for k, d in zip(p, dest):
                     q[d] = k
                 p = tuple(q)
-            # one image per source coefficient and sign, so shared
-            # coefficients stay shared
-            g = images.get((id(f), sign))
+            # one image per source coefficient, so shared coefficients
+            # stay shared; its negation is shared too (``scalar``)
+            g = images.get(id(f))
             if g is None:
-                g = images.get((id(f), 1))
-                if g is None:
-                    g = images[id(f), 1] = f.relabel(sigma)
-                if sign < 0:
-                    g = images[id(f), -1] = -g
-            out[(word, p)] = g
+                g = images[id(f)] = f.relabel(sigma)
+            out[(word, p)] = -g if sign < 0 else g
         return OperatorSum(ctx, out)
 
     def filtered(self, cut):
@@ -592,7 +589,7 @@ def _acc_add(acc, key, val, sign, budget):
     new key pays for the negation."""
     prev = acc.get(key)
     if prev is None:
-        if val:
+        if val.num:
             acc[key] = val if sign > 0 else -val
             if budget is not None and len(acc) > budget:
                 raise CapExceededError(
@@ -600,7 +597,7 @@ def _acc_add(acc, key, val, sign, budget):
                 )
     else:
         tot = prev + val if sign > 0 else prev - val
-        if tot:
+        if tot.num:
             acc[key] = tot
         else:
             del acc[key]

@@ -39,8 +39,9 @@ hit.  An unordered pair is stored in the order of the operands' cached
 hashes, so ``b * a`` finds what ``a * b`` left; when the two hashes tie,
 the two orders get two entries, which costs a missed share and nothing
 else.  A hit hands out the stored object, which is sound because a
-RationalFunction and its ``num``/``den`` dicts are never mutated after
-construction: every operation builds new ones.  The scope is bounded by
+RationalFunction's value and its ``num``/``den`` dicts are never mutated
+after construction (only its cached hash and negation link are filled
+in later): every operation builds new ones.  The scope is bounded by
 its caller (one verdict in ``verify``, one build in ``cli``) and drops
 the memo on exit.  The same scope also carries the operator layer's
 bracket entries, under a ``"bracket"`` tag no coefficient key uses; what
@@ -56,12 +57,29 @@ list decides cost, not results: a shared factor outside it still
 cancels through the heuristic gcd, so the canonical form is the same
 whatever the list holds.
 
-Two kinds of request skip the memo, because their answer needs no
-arithmetic: a product with the unit returns the other factor, and the
-difference of equal functions returns ``field.zero``.  The unit test is
-an identity test, since every 1 the field builds is ``field.one`` itself
-(``const``, ``_make`` and negation return it); a 1 built by hand only
-misses the shortcut.
+A sign is a link between two objects, not a computation.  A function
+builds its negation once and keeps it in ``_neg``, linked both ways, so
+``-(-f) is f`` and every later ``-f`` hands out the same object; zero
+negates to itself, and the negation of any -1 is ``field.one``.  Each of
+the two keeps the other alive, so a negation, once asked for, lives as
+long as the function it negates.  A difference ``f - g`` adds the shared
+``-g``, so repeated subtractions and negative word signs build no new
+negations.
+
+Three kinds of request skip the memo, because their answer needs no
+arithmetic: a product with the unit returns the other factor, the
+difference of equal functions returns ``field.zero``, and so does
+``f + (-f)``, which is recognized by identity (``g is f._neg``).  The
+unit test is an identity test too, since every 1 the field builds is
+``field.one`` itself (``const``, ``_make`` and negation return it); a 1
+or a negation built by hand only misses the shortcut.
+
+Besides the memo, the field keeps one object per requested monomial:
+``monomial`` (and ``x``, ``lam``, ``aux_x``, ``aux_y`` through it)
+returns the same object for the same (monomial, coefficient) for the
+field's lifetime, so the memo's keys and the negation links meet on
+shared objects.  That table is bounded by the monomials the builders
+ask for.
 """
 
 from __future__ import annotations
@@ -149,6 +167,7 @@ class ScalarField:
             {1 << self.shifts[i]: 1, 1 << self.shifts[j]: -1}
             for i in range(N) for j in range(i + 1, N)
         )
+        self._monomials = {}
         self._memo = None
 
     def __repr__(self):
@@ -251,7 +270,8 @@ class ScalarField:
         return self._cancel(num, den, self._one_p)
 
     def monomial(self, exps, coeff=1):
-        """exps: mapping slot -> exponent."""
+        """coeff times the monomial of exps, a mapping slot -> exponent;
+        equal requests return one object (module docstring)."""
         if not coeff:
             return self.zero
         key = 0
@@ -259,7 +279,11 @@ class ScalarField:
             if not 0 <= e <= monomials.MAX_EXP:
                 raise OverflowError("exponent out of range")
             key |= e << self.shifts[slot]
-        return self._make({key: coeff}, self._one_p)
+        out = self._monomials.get((key, coeff))
+        if out is None:
+            out = self._monomials[key, coeff] = \
+                self._make({key: coeff}, self._one_p)
+        return out
 
     def _site_slot(self, i: int) -> int:
         """The slot of the 1-based site i; ValueError outside 1..N."""
@@ -309,13 +333,14 @@ class ScalarField:
 
 
 class RationalFunction:
-    __slots__ = ("field", "num", "den", "_h")
+    __slots__ = ("field", "num", "den", "_h", "_neg")
 
     def __init__(self, field, num, den):
         self.field = field
         self.num = num
         self.den = den
         self._h = None
+        self._neg = None
 
     # -- predicates -------------------------------------------------------
 
@@ -362,6 +387,8 @@ class RationalFunction:
             return o
         if not o.num:
             return self
+        if o is self._neg:
+            return self.field.zero
         return self._add(o)
 
     __radd__ = __add__
@@ -379,13 +406,22 @@ class RationalFunction:
         return f._cancel(t, g, poly_mul(q1, q2, sh))
 
     def __neg__(self):
+        neg = self._neg
+        if neg is not None:
+            return neg
         num = self.num
         if not num:
             return self
         f = self.field
         if num.get(0) == -1 and len(num) == 1 and self.den is f._one_p:
-            return f.one
-        return RationalFunction(f, poly_neg(num), self.den)
+            neg = f.one
+        else:
+            neg = RationalFunction(f, poly_neg(num), self.den)
+        # linked both ways, so -(-f) is f; a second -1 links one way only
+        self._neg = neg
+        if neg._neg is None:
+            neg._neg = self
+        return neg
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -194,6 +194,33 @@ def test_full_word_mul_matches_action(sup3):
             assert direct == composed
 
 
+def _site_by_site_sign(ctx, w1, w2):
+    """The sign of w1 w2 one site at a time: each odd unit of w1 passes
+    the odd units of w2 at lower sites."""
+    par = ctx._par
+    exp = 0
+    pref = 0
+    for a1, b1, a2, b2 in zip(w1[0], w1[1], w2[0], w2[1]):
+        if (par[a1] + par[b1]) & 1:
+            exp += pref
+        pref += (par[a2] + par[b2]) & 1
+    return -1 if exp & 1 else 1
+
+
+@pytest.mark.parametrize(
+    "nmN", [(1, 1, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2), (1, 2, 3), (1, 1, 4)],
+    ids="{0[0]},{0[1]},{0[2]}".format)
+def test_word_sign_table_matches_the_site_rule(nmN):
+    ctx = GradingContext(*nmN)
+    states = list(ctx.basis_states())
+    for out in states:
+        for mid in states:
+            for inn in states:
+                w1, w2 = (out, mid), (mid, inn)
+                want = _site_by_site_sign(ctx, w1, w2)
+                assert full_word_mul(ctx, w1, w2) == (want, (out, inn))
+
+
 def test_full_word_parity(sup3):
     rng = random.Random(43)
     for _ in range(50):

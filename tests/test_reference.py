@@ -139,10 +139,7 @@ def check(J, f, value):
 # -- field operations ---------------------------------------------------------
 
 
-@REFERENCE
-@given(samples(2))
-def test_ring_operations_match_sympy(sample):
-    J, (a, b) = sample
+def _ring_checks(J, a, b):
     (N1, D1), (N2, D2) = J.pair(a), J.pair(b)
     check(J, a + b, (N1 * D2 + N2 * D1, D1 * D2))
     check(J, a - b, (N1 * D2 - N2 * D1, D1 * D2))
@@ -154,6 +151,22 @@ def test_ring_operations_match_sympy(sample):
     check(J, J.frac(J.R.zero, D1), zero)
     with pytest.raises(PoleError):
         a / (b - b)
+    # negation chains, which the shared negation answers by identity
+    check(J, -(-a), (N1, D1))
+    check(J, (-a) + a, zero)
+    check(J, a - (-b), (N1 * D2 + N2 * D1, D1 * D2))
+    check(J, -(a * b) + b * a, zero)
+
+
+@REFERENCE
+@given(samples(2))
+def test_ring_operations_match_sympy(sample):
+    J, (a, b) = sample
+    _ring_checks(J, a, b)
+    # again inside the memo, where shared results and the identity
+    # shortcuts answer most requests
+    with J.field.arithmetic_memo():
+        _ring_checks(J, a, b)
 
 
 @REFERENCE

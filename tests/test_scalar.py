@@ -6,6 +6,7 @@ operator layer builds on top.  The random-input tests draw their operands
 from ``test_reference`` and judge results with sympy's polynomial ring.
 """
 
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import permutations
 
@@ -531,6 +532,88 @@ def test_equal_differences_skip_the_memo():
         assert t.num == F.x(1).num
         assert t - F.x(1) == t + (-F.x(1)) != F.zero
         assert F.x(1) - t == -(t - F.x(1))
+
+
+def _scopes(field):
+    """No memo, then the field's arithmetic memo."""
+    yield nullcontext()
+    yield field.arithmetic_memo()
+
+
+def test_negation_is_one_shared_object():
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    for scope in _scopes(F):
+        with scope:
+            for f in (a, b, a * b, F.lam, F.one, F.const(2, 3)):
+                assert -f is -f
+                assert -(-f) is f
+            assert -F.zero is F.zero
+            assert -F.const(-1) is F.one
+            assert -(-F.one) is F.one
+
+
+def test_opposite_sums_cancel_by_identity(monkeypatch):
+    from colorcs import scalar
+
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    fs = (a, b, a * b, F.lam, F.one)
+    calls = []
+    real = scalar.poly_add
+    monkeypatch.setattr(
+        scalar, "poly_add", lambda p, q: calls.append(1) or real(p, q))
+    for scope in _scopes(F):
+        with scope:
+            for f in fs:
+                assert f + (-f) is F.zero
+                assert (-f) + f is F.zero
+            if F._memo is not None:
+                assert F._memo == {}
+    assert calls == []
+
+
+def test_repeated_difference_builds_no_new_object(monkeypatch):
+    from colorcs import scalar
+
+    F = ScalarField(3)
+    a, b = _memo_operands(F)
+    built, negated = [], []
+    init, poly_neg = RationalFunction.__init__, scalar.poly_neg
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_neg(p):
+        negated.append(p)
+        return poly_neg(p)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counted_init)
+    monkeypatch.setattr(scalar, "poly_neg", counted_neg)
+    for scope in _scopes(F):
+        with scope:
+            first = a - b
+            del built[:], negated[:]
+            again = a - b
+            assert again == first and negated == []
+            if F._memo is None:
+                # only the sum is computed again, not the negation of b
+                assert built == [again]
+            else:
+                assert again is first and built == []
+
+
+def test_equal_monomials_are_one_object():
+    F = ScalarField(3)
+    for scope in _scopes(F):
+        with scope:
+            assert F.monomial({0: 2, 4: 1}, -3) is F.monomial({4: 1, 0: 2}, -3)
+            assert F.monomial({0: 2}, 3) is not F.monomial({0: 2}, -3)
+            assert F.x(2) is F.x(2) is F.monomial({1: 1})
+            assert F.lam is F.lam and F.aux_y is F.aux_y
+            assert F.monomial({}) is F.one
+            assert F.monomial({0: 1}, 0) is F.zero
 
 
 @REFERENCE

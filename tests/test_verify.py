@@ -109,6 +109,32 @@ def test_nested_bracket_apply_never_multiplies(ws112, monkeypatch):
     outer.apply(psi)
 
 
+def test_signs_build_no_new_coefficients(monkeypatch):
+    # eq3.17's loop brackets subtract and sign-flip the same few
+    # coefficients thousands of times; with one shared negation per
+    # coefficient the verdict builds 161 functions and negates 72
+    # polynomials (6,588 and 6,409 when each sign built a new function)
+    from colorcs import scalar
+
+    counts = {"init": 0, "poly_neg": 0}
+    init, poly_neg = scalar.RationalFunction.__init__, scalar.poly_neg
+
+    def counted_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    def counted_neg(p):
+        counts["poly_neg"] += 1
+        return poly_neg(p)
+
+    ws = ModelWorkspace(2, 2, 2)
+    monkeypatch.setattr(scalar.RationalFunction, "__init__", counted_init)
+    monkeypatch.setattr(scalar, "poly_neg", counted_neg)
+    rep = run_one(ws, "eq3.17", max_spin=2, max_degree=0)
+    assert rep.verdict == "pass" and rep.oracle_agrees
+    assert counts == {"init": 161, "poly_neg": 72}
+
+
 def test_structural_case_passes(ws112):
     rep = run_one(ws112, "eq2.7")
     assert rep.verdict == "pass"
