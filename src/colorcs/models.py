@@ -7,8 +7,11 @@ generators J and K, the Serre defect tensors, and the higher-spin
 W and Q families.  Every builder that constructs an operator is wrapped
 in one memo, a dict on the workspace keyed by (builder name, positional
 arguments), so repeated requests (the verifier loops over thousands of
-color tuples) cost one dict lookup.  Operators are never mutated after
-construction, so handing every caller the same object is safe.
+color tuples) cost one dict lookup.  That includes the site swap P_ij
+(``swap``) and the formal level -1 unit (``t_minus1``), so no case and
+no other builder calls ``AlgebraContext.swap`` itself.  Operators are
+never mutated after construction, so handing every caller the same
+object is safe.
 
 Every generator is a site sum, built by one of two recipes, with each
 site's piece dressed as e(i,a,b) (piece) when it carries a color pair:
@@ -124,6 +127,11 @@ class ModelWorkspace:
     def unit(self, i: int, a: int, b: int) -> OperatorSum:
         return self.ctx.unit(i, a, b)
 
+    @_memoized
+    def swap(self, i: int, j: int) -> OperatorSum:
+        """Graded permutation of sites i and j."""
+        return self.ctx.swap(i, j)
+
     def _site_tuples(self, k: int):
         """Ordered k-tuples of distinct sites."""
         return itertools.permutations(range(1, self.N + 1), k)
@@ -143,7 +151,7 @@ class ModelWorkspace:
                 kinetic = kinetic + ctx.deriv(i, 2).scale(self._half)
             for i, j in self._site_tuples(2):
                 w = f.omega(i, j)
-                pair = pair + ctx.swap(i, j).scale(w.d_dx(i))
+                pair = pair + self.swap(i, j).scale(w.d_dx(i))
                 pair = pair + ctx.scalar(lam * w * f.omega(j, i))
         else:
             for i in range(1, self.N + 1):
@@ -151,7 +159,7 @@ class ModelWorkspace:
                 kinetic = kinetic + xd.mul(xd).scale(self._half)
             for i, j in self._site_tuples(2):
                 kern = (f.x(i) * f.x(j)) / ((f.x(i) - f.x(j)) * (f.x(j) - f.x(i)))
-                pair = pair + (ctx.swap(i, j) + ctx.scalar(lam)).scale(kern)
+                pair = pair + (self.swap(i, j) + ctx.scalar(lam)).scale(kern)
         return kinetic + pair.scale(lam * self._half)
 
     # -- Lax pairs ---------------------------------------------------------
@@ -177,7 +185,7 @@ class ModelWorkspace:
             kern = self._kernel(kind, i, j)
             if which == "M":
                 kern = kern * self._kernel(kind, j, i)
-            rows[i - 1][j - 1] = ctx.swap(i, j).scale(lam * kern)
+            rows[i - 1][j - 1] = self.swap(i, j).scale(lam * kern)
         for i, row in enumerate(rows, 1):
             if which == "M":
                 row[i - 1] = -sum(row, ctx.zero())
@@ -247,6 +255,7 @@ class ModelWorkspace:
             raise ValueError("use t_minus1 for the formal level -1 unit")
         return self._site_sum(lambda i: self._row_sum(TRIG, p, i), (a, b))
 
+    @_memoized
     def t_minus1(self, a: int, b: int, graded: bool = True) -> OperatorSum:
         """Formal level -1 generator: a multiple of delta_ab / lambda.
 
@@ -566,10 +575,10 @@ class ModelWorkspace:
             "H_s": (0, lambda: self.hamiltonian(TRIG)),
             "X2": (0, self.x_squared),
             "E": (3, lambda i, a, b: self.unit(i, a, b)),
-            "P": (2, self.ctx.swap),
+            "P": (2, self.swap),
             "T": (3, self.yangian_T),
-            "Tm1": (2, lambda a, b: self.t_minus1(a, b, graded=True)),
-            "Tm1_plain": (2, lambda a, b: self.t_minus1(a, b, graded=False)),
+            "Tm1": (2, lambda a, b: self.t_minus1(a, b, True)),
+            "Tm1_plain": (2, lambda a, b: self.t_minus1(a, b, False)),
             "T2x": (2, self.t2_explicit),
             "J": (3, self.loop_J),
             "K": (3, self.loop_K),

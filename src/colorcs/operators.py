@@ -14,17 +14,19 @@ operand's terms by their out tuple, and each left term looks up its in
 tuple, so only matching pairs (in1 == out2) are visited.  The index is
 built on the first product that has the operand on the right and kept in
 the operand, as its parity is; that is sound because no operation mutates
-``terms`` after construction.  Subtraction is termwise: ``a - b``
-subtracts matching coefficients and negates only the terms b alone has,
-without building ``-b`` first.  A word acts only on the basis state equal
-to its in tuple: ``apply_to`` reads each state component's terms from a
-second index, by in tuple and then derivative tuple, which also holds
-each word's sign and out tuple on its in tuple; it is built on the
-operator's first action and kept the same way.  Its states are the
-oracle's exponential probes (see ``verify``): amplitudes times powers of
-formal t_1..t_N times e^(t.x), on which d^p acts as (d + t)^p, expanded
-one factor d_i + t_i at a time.  That is separate code from ``mul``'s
-Leibniz walk, and shares no helper or binomial arithmetic with it.
+``terms`` after construction.  A sum or a difference runs b's terms
+through ``_acc_add``, the accumulator ``mul`` uses, with sign +1 or -1;
+so ``a - b`` is termwise: it subtracts matching coefficients and negates
+only the terms b alone has, without building ``-b`` first.  A word acts
+only on the basis state equal to its in tuple: ``apply_to`` reads each
+state component's terms from a second index, by in tuple and then
+derivative tuple, which also holds each word's sign and out tuple on its
+in tuple; it is built on the operator's first action and kept the same
+way.  Its states are the oracle's exponential probes (see ``verify``):
+amplitudes times powers of formal t_1..t_N times e^(t.x), on which d^p
+acts as (d + t)^p, expanded one factor d_i + t_i at a time.  That is
+separate code from ``mul``'s Leibniz walk, and shares no helper or
+binomial arithmetic with it.
 Printing orders words site by site as (a1, b1, ..., aN, bN), through
 ``display_keys``.
 
@@ -47,11 +49,12 @@ diagonal word at w's in tuple (g on the right) or out tuple (g on the
 left), which is even, so both word products give w with sign +1; and
 f g and g f are one canonical coefficient.  So g Q cancels the t = 0
 terms exactly, term by term, and the bracket is one product that skips
-them (``mul``'s private ``_tail`` sign).  That product stays inside
-``mul``, so the term budget and the truncation apply to it as to any
-product, and verdictbench's ``operators.mul`` span still times and counts
-it; the action path (``verify.Bracket``) still applies both orders to
-states, so the oracle checks the shortcut against independent code.
+them (``mul``'s private ``_tail`` flag), negated when g is on the left.
+That product stays inside ``mul``, so the term budget and the truncation
+apply to it as to any product, and verdictbench's ``operators.mul`` span
+still times and counts it; the action path (``verify.Bracket``) still
+applies both orders to states, so the oracle checks the shortcut against
+independent code.
 The cut is part of the key, so a truncated bracket is never derived
 from a full one or the reverse.  The memo holds one entry per distinct
 (a, b, cut) a verdict evaluates, and most results are held for the
@@ -292,7 +295,7 @@ class OperatorSum:
             return other
         if not other.terms:
             return self
-        return self._merge(other, False)
+        return self._merge(other, 1)
 
     def __neg__(self):
         return OperatorSum(self.ctx, {k: -f for k, f in self.terms.items()})
@@ -303,21 +306,13 @@ class OperatorSum:
             return self
         if not self.terms:
             return -other
-        return self._merge(other, True)
+        return self._merge(other, -1)
 
-    def _merge(self, other, subtract):
-        """self + other, or self - other coefficient by coefficient."""
+    def _merge(self, other, sign):
+        """self + sign * other, coefficient by coefficient."""
         out = dict(self.terms)
         for key, g in other.terms.items():
-            f = out.get(key)
-            if f is None:
-                out[key] = -g if subtract else g
-            else:
-                s = f - g if subtract else f + g
-                if s.num:
-                    out[key] = s
-                else:
-                    del out[key]
+            _acc_add(out, key, g, sign, None)
         return OperatorSum(self.ctx, out)
 
     def scale(self, value):
@@ -344,13 +339,12 @@ class OperatorSum:
 
     # -- multiplication ------------------------------------------------------
 
-    def mul(self, other, cut=0, _tail=0):
+    def mul(self, other, cut=0, _tail=False):
         """Product; a cut above 0 drops the result terms below that total
         derivative degree (sound for leading-order comparisons).
 
-        ``_tail`` is for ``bracket`` alone: +1 or -1 keeps only the
-        Leibniz terms with t != 0, times that sign (the module
-        docstring says why)."""
+        ``_tail`` is for ``bracket`` alone: it keeps only the Leibniz
+        terms with t != 0 (the module docstring says why)."""
         self._check(other)
         ctx = self.ctx
         if not self.terms or not other.terms:
@@ -376,8 +370,6 @@ class OperatorSum:
                 if cap < lowest:
                     continue
                 sign, w = full_word_mul(grading, w1, w2)
-                if _tail < 0:
-                    sign = -sign
                 if not p_total:
                     _acc_add(acc, (w, q), f * g, sign, budget)
                     continue
@@ -444,9 +436,9 @@ class OperatorSum:
             if hit is not None:
                 return hit[2] if odd else -hit[2]
         if other._is_multiplication():
-            out = self.mul(other, cut, _tail=1)
+            out = self.mul(other, cut, _tail=True)
         elif self._is_multiplication():
-            out = other.mul(self, cut, _tail=-1)
+            out = -other.mul(self, cut, _tail=True)
         else:
             ab = self.mul(other, cut)
             ba = other.mul(self, cut)

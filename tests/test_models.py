@@ -181,7 +181,7 @@ def test_formal_unit_variants(ws112):
     assert ws112.t_minus1(1, 1) == ident.scale(inv)
     assert ws112.t_minus1(2, 2) == ident.scale(-inv)
     assert ws112.t_minus1(1, 2).is_zero
-    assert ws112.t_minus1(2, 2, graded=False) == ident.scale(inv)
+    assert ws112.t_minus1(2, 2, False) == ident.scale(inv)
 
 
 def test_generator_parities(ws112):
@@ -359,11 +359,13 @@ def test_registry_rejects_bad_names(ws112, bad):
 # one argument tuple per memoized builder
 _MEMOIZED = {
     "unit": (1, 1, 2),
+    "swap": (1, 2),
     "hamiltonian": (TRIG,),
     "lax": (RATIONAL, "M"),
     "_row_sum": (RATIONAL, 1, 2),
     "_spin_row": (2, 1, 2),
     "yangian_T": (1, 1, 2),
+    "t_minus1": (2, 2, False),
     "loop_J": (1, 2, 1),
     "loop_K": (2, 1, 2),
     "j_scalar": (1,),

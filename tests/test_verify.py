@@ -112,8 +112,10 @@ def test_nested_bracket_apply_never_multiplies(ws112, monkeypatch):
 def test_signs_build_no_new_coefficients(monkeypatch):
     # eq3.17's loop brackets subtract and sign-flip the same few
     # coefficients thousands of times; with one shared negation per
-    # coefficient the verdict builds 161 functions and negates 72
-    # polynomials (6,588 and 6,409 when each sign built a new function)
+    # coefficient the verdict builds 155 functions and negates 72
+    # polynomials (6,588 and 6,409 when each sign built a new function;
+    # 161 and 72 when the residual subtracted the right side summand by
+    # summand instead of collapsing it first)
     from colorcs import scalar
 
     counts = {"init": 0, "poly_neg": 0}
@@ -132,7 +134,7 @@ def test_signs_build_no_new_coefficients(monkeypatch):
     monkeypatch.setattr(scalar, "poly_neg", counted_neg)
     rep = run_one(ws, "eq3.17", max_spin=2, max_degree=0)
     assert rep.verdict == "pass" and rep.oracle_agrees
-    assert counts == {"init": 161, "poly_neg": 72}
+    assert counts == {"init": 155, "poly_neg": 72}
 
 
 def test_structural_case_passes(ws112):
@@ -592,33 +594,18 @@ def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
     assert shared < len(calls)
 
 
-def _built_nodes(monkeypatch):
-    """The Scale and Add nodes whose operator is built from here on."""
-    built = []
-    for cls in (vf.Scale, vf.Add):
-        def spy(self, cut=0, operator=cls.operator):
-            built.append(self)
-            return operator(self, cut)
-        monkeypatch.setattr(cls, "operator", spy)
-    return built
-
-
-def test_add_subtracts_a_negated_summand(ws112, monkeypatch):
-    built = _built_nodes(monkeypatch)
+def test_add_subtracts_a_negated_summand(ws112):
     a = ws112.yangian_T(1, 1, 2)
     b = ws112.hamiltonian("sutherland")
     neg_b = vf.Scale(vf.Leaf(b), -1)
     assert vf.Add(vf.Leaf(a), neg_b).operator() == a - b
-    # subtracted termwise: the negated copy of b is never built
-    assert neg_b not in built
     neg_a = vf.Scale(vf.Leaf(a), -1)
     assert vf.Add(neg_a, vf.Leaf(b)).operator() == b - a
     assert vf.Add(vf.Leaf(a), vf.Scale(vf.Leaf(b), Fraction(-1))).operator() \
         == a - b
 
 
-def test_residual_adds_a_negated_right_summand(ws112, monkeypatch):
-    built = _built_nodes(monkeypatch)
+def test_residual_adds_a_negated_right_summand(ws112):
     a = ws112.yangian_T(1, 1, 2)
     b = ws112.yangian_T(1, 2, 1)
     h = ws112.hamiltonian("sutherland")
@@ -632,6 +619,45 @@ def test_residual_adds_a_negated_right_summand(ws112, monkeypatch):
         assert vf._residual(inst, None) == full
         inst.cut = 1
         assert vf._residual(inst, None) == full.filtered(1)
-        # summand by summand: neither -b nor the right side was built
-        assert neg_b not in built
-        assert rhs not in built
+
+
+def test_tower_cases_are_slices_of_the_level_sums():
+    # eq3.10 and eq3.11 are eq3.15 at (s, p) = (0, 1) and (1, 1): the same
+    # instances, label for label and residual for residual
+    cfg = vf.RunConfig()
+    for context in ((1, 1, 2), (2, 1, 2)):
+        ws = ModelWorkspace(*context)
+        sums = list(vf.CASES["eq3.15"].instances(ws, cfg))
+        for case_id, prefix in (("eq3.10", "s=0 p=1 "), ("eq3.11", "s=1 p=1 ")):
+            got = list(vf.CASES[case_id].instances(ws, cfg))
+            want = [inst for inst in sums if inst.label.startswith(prefix)]
+            assert len(got) == len(want) == ws.dim ** 4
+            for g, w in zip(got, want):
+                assert g.label == w.label
+                assert vf._residual(g, None) == vf._residual(w, None)
+
+
+def test_instances_repeat_from_the_workspace_memo(monkeypatch):
+    # every operator a case reads comes from the workspace memo: a second
+    # generation of the catalog builds no swap and no word
+    from colorcs.operators import AlgebraContext
+
+    calls = []
+    for name in ("swap", "from_units"):
+        build = getattr(AlgebraContext, name)
+
+        def counted(self, *args, _build=build, _name=name, **kw):
+            calls.append(_name)
+            return _build(self, *args, **kw)
+
+        monkeypatch.setattr(AlgebraContext, name, counted)
+    cfg = vf.RunConfig(max_spin=2, max_degree=1)
+    for context in ((1, 1, 2), (1, 1, 3)):
+        ws = ModelWorkspace(*context)
+        for case in vf.CASES.values():
+            list(case.instances(ws, cfg))
+        assert "swap" in calls and "from_units" in calls
+        del calls[:]
+        for case in vf.CASES.values():
+            list(case.instances(ws, cfg))
+        assert calls == [], context
