@@ -379,9 +379,10 @@ class ModelWorkspace:
     def _mixed_core(self, a, b, c, d, deriv_part, kern2, kern3, kern_tail):
         """Shared shape of the three graded defect tensors.
 
-        deriv_part(i, j) supplies the two-site operator factor; kern2 and
-        kern3 supply the coefficient functions of the two triple sums, and
-        kern_tail(i, j) that of the unsigned two-site tail
+        deriv_part(i, j) supplies the two-site operator factor, a memoized
+        builder: it is color-blind, so every color quad shares it.  kern2
+        and kern3 supply the coefficient functions of the two triple sums,
+        and kern_tail(i, j) that of the unsigned two-site tail
         e(i,a,b) e(j,c,d).
         """
         ctx = self.ctx
@@ -400,17 +401,32 @@ class ModelWorkspace:
         return core.scale(self._beta_sign(b, c, d)) + tail
 
     @_memoized
+    def _m_deriv(self, i: int, j: int) -> OperatorSum:
+        """(x_i + 1) d_i - (x_j + 1) d_j, tensor_M's two-site factor."""
+        ctx = self.ctx
+        return (ctx.coord(i) + ctx.identity()).mul(ctx.deriv(i)) \
+            - (ctx.coord(j) + ctx.identity()).mul(ctx.deriv(j))
+
+    @_memoized
+    def _n_deriv(self, i: int, j: int) -> OperatorSum:
+        """x_i d_i - x_j d_j + (x_i - x_j), tensor_N's two-site factor."""
+        ctx, f = self.ctx, self.ctx.field
+        return ctx.coord(i).mul(ctx.deriv(i)) \
+            - ctx.coord(j).mul(ctx.deriv(j)) \
+            + ctx.scalar(f.x(i) - f.x(j))
+
+    @_memoized
+    def _p_deriv(self, i: int, j: int) -> OperatorSum:
+        """d_i - d_j, tensor_P's two-site factor."""
+        return self.ctx.deriv(i) - self.ctx.deriv(j)
+
+    @_memoized
     def tensor_M(self, a: int, b: int, c: int, d: int) -> OperatorSum:
         """Defect tensor of the Serre test run on J1 + T1."""
-        ctx, f = self.ctx, self.ctx.field
+        f = self.ctx.field
         lam = self._lam
-
-        def deriv_part(i, j):
-            return (ctx.coord(i) + ctx.identity()).mul(ctx.deriv(i)) \
-                - (ctx.coord(j) + ctx.identity()).mul(ctx.deriv(j))
-
         return self._mixed_core(
-            a, b, c, d, deriv_part,
+            a, b, c, d, self._m_deriv,
             lambda i, j, k: lam * (f.x(i) + 1) / (f.x(i) - f.x(j)),
             lambda i, j, k: lam * (f.x(j) + 1) / (f.x(j) - f.x(k)),
             lambda i, j: lam * (f.x(i) + f.x(j) + 2) / (f.x(i) - f.x(j)),
@@ -425,16 +441,10 @@ class ModelWorkspace:
         the triple kernels are x_i/(x_i - x_j), and the trailing two-site
         sum carries (x_i + x_j)/(x_i - x_j).
         """
-        ctx, f = self.ctx, self.ctx.field
+        f = self.ctx.field
         lam = self._lam
-
-        def deriv_part(i, j):
-            return ctx.coord(i).mul(ctx.deriv(i)) \
-                - ctx.coord(j).mul(ctx.deriv(j)) \
-                + ctx.scalar(f.x(i) - f.x(j))
-
         return self._mixed_core(
-            a, b, c, d, deriv_part,
+            a, b, c, d, self._n_deriv,
             lambda i, j, k: lam * f.x(i) / (f.x(i) - f.x(j)),
             lambda i, j, k: lam * f.x(j) / (f.x(j) - f.x(k)),
             lambda i, j: lam * (f.x(i) + f.x(j)) / (f.x(i) - f.x(j)),
@@ -450,12 +460,8 @@ class ModelWorkspace:
         """
         ctx, f = self.ctx, self.ctx.field
         lam = self._lam
-
-        def deriv_part(i, j):
-            return ctx.deriv(i) - ctx.deriv(j)
-
         xblock = self._mixed_core(
-            a, b, c, d, deriv_part,
+            a, b, c, d, self._p_deriv,
             lambda i, j, k: lam / (f.x(i) - f.x(j)),
             lambda i, j, k: lam / (f.x(j) - f.x(k)),
             lambda i, j: (lam + lam) / (f.x(i) - f.x(j)),

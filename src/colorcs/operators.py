@@ -55,6 +55,7 @@ apply to it as to any product, and verdictbench's ``operators.mul`` span
 still times and counts it; the action path (``verify.Bracket``) still
 applies both orders to states, so the oracle checks the shortcut against
 independent code.
+
 The cut is part of the key, so a truncated bracket is never derived
 from a full one or the reverse.  The memo holds one entry per distinct
 (a, b, cut) a verdict evaluates, and most results are held for the
@@ -64,6 +65,31 @@ compute on the way.
 Outside a memo scope nothing is stored.  A product's word sign is folded
 into its accumulation: a negative pair subtracts from an existing term
 and negates only a new one.
+
+Any other computed bracket whose operands have only polynomial
+coefficients (``_is_poly``, cached per operator as the parity is) is one
+accumulator: AB is added into a fresh dict, and BA into the same dict through
+``mul``'s private ``_into``, with the bracket's sign folded into each of
+its pairs (``_sign``), so no third dict and no merge are made.  A sum of
+polynomials needs no gcd, so the order in which the terms meet costs
+nothing.  Both products are still ``mul`` calls, so the truncation
+applies to each and verdictbench's ``operators.mul`` span counts two
+products per bracket; its ``terms_out`` on the second reads the running
+sum AB -+ BA, not BA alone.  The term budget then bounds that running
+sum: it is checked whenever a new term enters, through AB's pairs and
+then BA's.  A bracket with a rational coefficient keeps two products and
+one merge, and its budget bounds each product alone.  There every
+partial sum is a rational addition, a gcd, and BA built on its own makes
+the same partial sums other brackets make, which the arithmetic memo
+shares; adding BA into AB's sums makes new ones, and fusing those
+brackets was measured slower on the rational Serre cases.
+
+A sign is a link, as in ``scalar``: ``-a`` is built once and kept in
+``_neg``, linked both ways, so ``-(-a) is a``, a zero operator negates to
+itself, and every later ``-a`` hands out the same object: a swap served
+off the bracket memo, ``scale(-1)``, a difference from zero.  Since the
+memo keys brackets by id, an outer bracket of a served negation hits it
+too.  Each of the two keeps the other alive.
 
 Leibniz only lowers the degree: a term f w d^p times a term g w' d^q is
 the sum over t <= p of C(p, t) f (d^t g) (w w') d^(p+q-t), whose total
@@ -237,14 +263,18 @@ def _leibniz(g, p, nz, cap, j=0):
 
 
 class OperatorSum:
-    __slots__ = ("ctx", "terms", "_par", "_by_out", "_by_in")
+    __slots__ = ("ctx", "terms", "_par", "_poly", "_mult", "_by_out",
+                 "_by_in", "_neg")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         self.terms = terms
         self._par = None
+        self._poly = None
+        self._mult = None
         self._by_out = None
         self._by_in = None
+        self._neg = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -278,6 +308,13 @@ class OperatorSum:
         self._par = 0 if seen is None else seen
         return self._par
 
+    def _is_poly(self):
+        """Whether every coefficient is a polynomial; cached as the
+        parity is."""
+        if self._poly is None:
+            self._poly = all(f.is_poly for f in self.terms.values())
+        return self._poly
+
     def max_deriv_degree(self):
         return max((sum(p) for _, p in self.terms), default=-1)
 
@@ -298,7 +335,16 @@ class OperatorSum:
         return self._merge(other, 1)
 
     def __neg__(self):
-        return OperatorSum(self.ctx, {k: -f for k, f in self.terms.items()})
+        neg = self._neg
+        if neg is None:
+            if not self.terms:
+                return self
+            neg = OperatorSum(self.ctx,
+                              {k: -f for k, f in self.terms.items()})
+            # linked both ways, so -(-a) is a
+            self._neg = neg
+            neg._neg = self
+        return neg
 
     def __sub__(self, other):
         self._check(other)
@@ -339,21 +385,23 @@ class OperatorSum:
 
     # -- multiplication ------------------------------------------------------
 
-    def mul(self, other, cut=0, _tail=False):
+    def mul(self, other, cut=0, _tail=False, _into=None, _sign=1):
         """Product; a cut above 0 drops the result terms below that total
         derivative degree (sound for leading-order comparisons).
 
-        ``_tail`` is for ``bracket`` alone: it keeps only the Leibniz
-        terms with t != 0 (the module docstring says why)."""
+        The private arguments are for ``bracket`` alone (the module
+        docstring says why): ``_tail`` keeps only the Leibniz terms with
+        t != 0, and ``_into`` is a term dict the product adds into, times
+        ``_sign``, instead of a fresh one."""
         self._check(other)
         ctx = self.ctx
+        acc = {} if _into is None else _into
         if not self.terms or not other.terms:
-            return ctx.zero()
+            return OperatorSum(ctx, acc)
         grading = ctx.grading
         budget = _TERM_BUDGET.get()
         by_out = other._join_index()
         lowest = 1 if _tail else 0
-        acc = {}
         for (w1, p), f in self.terms.items():
             matches = by_out.get(w1[1])
             if matches is None:
@@ -370,6 +418,8 @@ class OperatorSum:
                 if cap < lowest:
                     continue
                 sign, w = full_word_mul(grading, w1, w2)
+                if _sign < 0:
+                    sign = -sign
                 if not p_total:
                     _acc_add(acc, (w, q), f * g, sign, budget)
                     continue
@@ -401,7 +451,13 @@ class OperatorSum:
     def _is_multiplication(self):
         """Whether this is multiplication by one coefficient, the shape
         ``AlgebraContext.scalar`` builds: every diagonal word at
-        derivative order zero, all with the same coefficient."""
+        derivative order zero, all with the same coefficient.  Cached as
+        the parity is."""
+        if self._mult is None:
+            self._mult = self._multiplies()
+        return self._mult
+
+    def _multiplies(self):
         ctx = self.ctx
         terms = self.terms
         diag = ctx._diag_keys()
@@ -421,8 +477,9 @@ class OperatorSum:
     def bracket(self, other, cut=0):
         """Graded commutator [self, other}: anticommutator when both odd;
         the cut truncates as in ``mul``.  One product when an operand is
-        a multiplication operator; shared inside the field's arithmetic
-        memo (see the module docstring for both)."""
+        a multiplication operator, one accumulator for two polynomial
+        operands; shared inside the field's arithmetic memo (see the
+        module docstring for all three)."""
         self._check(other)
         odd = self.parity() and other.parity()
         cut = max(cut, 0)
@@ -439,6 +496,11 @@ class OperatorSum:
             out = self.mul(other, cut, _tail=True)
         elif self._is_multiplication():
             out = -other.mul(self, cut, _tail=True)
+        elif self._is_poly() and other._is_poly():
+            # one accumulator: BA adds into AB's dict, pair by pair
+            acc = {}
+            self.mul(other, cut, _into=acc)
+            out = other.mul(self, cut, _into=acc, _sign=1 if odd else -1)
         else:
             ab = self.mul(other, cut)
             ba = other.mul(self, cut)

@@ -66,6 +66,11 @@ long as the function it negates.  A difference ``f - g`` adds the shared
 ``-g``, so repeated subtractions and negative word signs build no new
 negations.
 
+Nearly every operand of ``+``, ``-`` and ``*`` is a function of the same
+field, so those three take one exact type and field test first; only
+ints, Fractions and other types go through ``_coerce``, which builds
+the constant or returns NotImplemented.
+
 Three kinds of request skip the memo, because their answer needs no
 arithmetic: a product with the unit returns the other factor, the
 difference of equal functions returns ``field.zero``, and so does
@@ -380,9 +385,12 @@ class RationalFunction:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is RationalFunction and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         if not self.num:
             return o
         if not o.num:
@@ -424,9 +432,12 @@ class RationalFunction:
         return neg
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is RationalFunction and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         if o is self or o == self:
             return self.field.zero
         return self.__add__(-o)
@@ -452,11 +463,14 @@ class RationalFunction:
         return f._make(num, den)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is RationalFunction and other.field is self.field:
+            o = other
+        elif isinstance(other, int):
             return self._scale_int(other)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         one = self.field.one
         if o is one:
             return self

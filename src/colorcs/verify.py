@@ -39,11 +39,14 @@ product or a bracket collapses its operands in full, because its top
 needs their lower terms, and truncates only its own ``mul`` or
 ``bracket`` (sound by the rule in ``operators``: Leibniz only lowers the
 degree).  The residual is lhs - rhs at the cut, each side collapsed as
-written.  A leading-order right side is read only at degree >= its cut,
-so eqs. 3.34-3.36 build their right-side generator at that cut (the
-``cut`` of the ``models`` builders): W or Q_{s+s'-2,p+q}, or
-Q_{s+s'-1,p+q}, holds only its top degree, without the high Lax powers
-and brackets below it.  The left-side generators stay full builds,
+written.  When the two sides hold the same terms with equal coefficients
+it is zero and no difference is built: canonical forms make structural
+equality mathematical equality (see ``scalar``), so every passing
+instance is read off that one comparison.  A leading-order right side
+is read only at degree >= its cut, so eqs. 3.34-3.36 build their
+right-side generator at that cut (the ``cut`` of the ``models``
+builders): W or Q_{s+s'-2,p+q}, or Q_{s+s'-1,p+q}, holds only its top
+degree, without the high Lax powers and brackets below it.  The left-side generators stay full builds,
 shared with the exact instances.
 
 The oracle checks the residual the symbolic verdict was read from: the
@@ -75,10 +78,12 @@ the probes read a leading-order top off without the full product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import time
+import weakref
 
 from .errors import CapExceededError
 from .models import RATIONAL, TRIG, ModelWorkspace
@@ -125,7 +130,7 @@ class Leaf(Expr):
         self._op = op
 
     def operator(self, cut=0):
-        return self._op.filtered(cut)
+        return self._op if cut <= 0 else self._op.filtered(cut)
 
     def par(self):
         return self._op.parity()
@@ -376,18 +381,32 @@ def _eta(ws, a, b, c, d):
     return ((ws.parity(a) + ws.parity(b)) * (ws.parity(c) + ws.parity(d))) % 2
 
 
+_ZERO_LEAVES = weakref.WeakKeyDictionary()
+
+
 def _zero(ws) -> Expr:
-    return Leaf(ws.ctx.zero())
+    """The workspace's one zero leaf."""
+    leaf = _ZERO_LEAVES.get(ws)
+    if leaf is None:
+        leaf = _ZERO_LEAVES[ws] = Leaf(ws.ctx.zero())
+    return leaf
 
 
-def _loop_rhs(ws, gen, level, a, b, c, d) -> Expr:
-    """delta_bc G^{ad} - (-1)^eta delta_da G^{cb} at the given level."""
+def _leaves(gen):
+    """gen(*args) as a leaf, built and wrapped once per distinct args for
+    as long as the returned function lives (one verdict's generation)."""
+    return functools.cache(lambda *args: Leaf(gen(*args)))
+
+
+def _loop_rhs(ws, leaf, level, a, b, c, d) -> Expr:
+    """delta_bc G^{ad} - (-1)^eta delta_da G^{cb} at the given level, where
+    leaf(level, x, y) is the leaf of G^{xy}."""
     items = []
     if b == c:
-        items.append(Leaf(gen(level, a, d)))
+        items.append(leaf(level, a, d))
     if d == a:
         sign = -1 if _eta(ws, a, b, c, d) == 0 else 1
-        items.append(Scale(Leaf(gen(level, c, b)), sign))
+        items.append(Scale(leaf(level, c, b), sign))
     return Add(*items) if items else _zero(ws)
 
 
@@ -451,9 +470,10 @@ def _shifted(gen_name):
 
 def _case_unit_bracket(ws, cfg):
     for i in range(1, ws.N + 1):
+        unit = _leaves(lambda _lv, x, y: ws.unit(i, x, y))
         for a, b, c, d in _quads(ws):
-            lhs = Bracket(Leaf(ws.unit(i, a, b)), Leaf(ws.unit(i, c, d)))
-            rhs = _loop_rhs(ws, lambda _lv, x, y: ws.unit(i, x, y), 0, a, b, c, d)
+            lhs = Bracket(unit(0, a, b), unit(0, c, d))
+            rhs = _loop_rhs(ws, unit, 0, a, b, c, d)
             yield Instance(f"i={i} abcd={a}{b}{c}{d}", lhs, rhs)
 
 
@@ -561,10 +581,10 @@ def _tower_case(gen_name, levels):
     `gen_name`, for each level pair (s, p) and color quadruple."""
 
     def gen(ws, cfg):
-        G = getattr(ws, gen_name)
+        G = _leaves(getattr(ws, gen_name))
         for s, q in levels:
             for a, b, c, d in _quads(ws):
-                lhs = Bracket(Leaf(G(s, a, b)), Leaf(G(q, c, d)))
+                lhs = Bracket(G(s, a, b), G(q, c, d))
                 rhs = _loop_rhs(ws, G, s + q, a, b, c, d)
                 yield Instance(f"s={s} p={q} abcd={a}{b}{c}{d}", lhs, rhs)
 
@@ -578,15 +598,16 @@ _LEVEL_SUMS = tuple((s, q) for s in range(4) for q in range(4 - s))
 def _case_level_one_bracket(ws, cfg):
     f = ws.ctx.field
     p = ws.parity
+    T = _leaves(ws.yangian_T)
     for a, b, c, d in _quads(ws):
-        lhs = Bracket(Leaf(ws.yangian_T(1, a, b)), Leaf(ws.yangian_T(1, c, d)))
+        lhs = Bracket(T(1, a, b), T(1, c, d))
         beta = (p(b) * p(c) + p(c) * p(d) + p(b) * p(d)) % 2
         defect = Add(
-            Mul(Leaf(ws.yangian_T(0, a, d)), Leaf(ws.yangian_T(1, c, b))),
-            Scale(Mul(Leaf(ws.yangian_T(1, a, d)), Leaf(ws.yangian_T(0, c, b))), -1),
+            Mul(T(0, a, d), T(1, c, b)),
+            Scale(Mul(T(1, a, d), T(0, c, b)), -1),
         )
         rhs = Add(
-            _loop_rhs(ws, ws.yangian_T, 2, a, b, c, d),
+            _loop_rhs(ws, T, 2, a, b, c, d),
             Scale(defect, f.lam * (1 if beta else -1)),
         )
         yield Instance(f"abcd={a}{b}{c}{d}", lhs, rhs)
@@ -602,6 +623,7 @@ def _case_level_two_explicit(ws, cfg):
 def _unification_case(with_plain_bracket: bool):
     def gen(ws, cfg):
         f = ws.ctx.field
+        T = _leaves(ws.yangian_T)
         for a, b, c, d in _quads(ws):
             parts = [
                 Bracket(Leaf(ws.loop_J(1, a, b)), Leaf(ws.loop_K(1, c, d))),
@@ -612,7 +634,7 @@ def _unification_case(with_plain_bracket: bool):
             if with_plain_bracket:
                 parts.append(Scale(Bracket(Leaf(ws.loop_J(0, a, b)),
                                            Leaf(ws.loop_J(0, c, d))), -f.lam))
-            rhs = Scale(_loop_rhs(ws, ws.yangian_T, 1, a, b, c, d), 2)
+            rhs = Scale(_loop_rhs(ws, T, 1, a, b, c, d), 2)
             yield Instance(f"abcd={a}{b}{c}{d}", Add(*parts), rhs)
 
     return gen
@@ -690,14 +712,13 @@ def _spin_bracket_case(colored):
 
 def _case_spin_bracket_color(ws, cfg):
     for s, sp, p, q in _spin_pairs(cfg, min(cfg.max_spin, 2)):
+        cut = (p + s - 1) + (q + sp - 1)
+        top = _leaves(lambda lv, x, y: ws.q_gen(s + sp - 1, p + q, x, y,
+                                                cut=cut))
         for a, b, c, d in _quads(ws):
             lhs = Bracket(Leaf(ws.q_gen(s, p, a, b)),
                           Leaf(ws.q_gen(sp, q, c, d)))
-            cut = (p + s - 1) + (q + sp - 1)
-            rhs = _loop_rhs(
-                ws, lambda lv, x, y: ws.q_gen(s + sp - 1, p + q, x, y,
-                                              cut=cut),
-                0, a, b, c, d)
+            rhs = _loop_rhs(ws, top, 0, a, b, c, d)
             yield Instance(f"s={s} s'={sp} p={p} q={q} abcd={a}{b}{c}{d}",
                            lhs, rhs, cut=cut)
 
@@ -865,8 +886,11 @@ def residual_records(op, max_terms=200):
 
 
 def _residual(inst, lam):
-    """lhs - rhs at the instance's cut."""
-    res = inst.lhs.operator(inst.cut) - inst.rhs.operator(inst.cut)
+    """lhs - rhs at the instance's cut; zero, with no difference built,
+    when the two sides are equal term by term."""
+    lhs = inst.lhs.operator(inst.cut)
+    rhs = inst.rhs.operator(inst.cut)
+    res = lhs.ctx.zero() if lhs.terms == rhs.terms else lhs - rhs
     return res if lam is None else res.substitute_lambda(lam)
 
 

@@ -219,6 +219,32 @@ def test_defect_tensors_have_homogeneous_parity(ws112):
                         assert op.parity() == want
 
 
+def test_defect_tensors_build_their_two_site_factors_once(monkeypatch):
+    # a graded defect tensor's factor deriv_part(i, j) is color-blind, so a
+    # second color quad builds no coordinate, derivative or multiplication
+    # operator for it
+    from colorcs.operators import AlgebraContext
+
+    ws = ModelWorkspace(1, 1, 3)
+    names = ("tensor_M", "tensor_N", "tensor_P")
+    for name in names:
+        getattr(ws, name)(1, 2, 2, 1)
+    calls = []
+    for attr in ("deriv", "scalar"):
+        def counted(self, *args, _fn=getattr(AlgebraContext, attr),
+                    _attr=attr):
+            calls.append(_attr)
+            return _fn(self, *args)
+        monkeypatch.setattr(AlgebraContext, attr, counted)
+    second = [getattr(ws, name)(2, 1, 1, 2) for name in names]
+    assert not calls
+    monkeypatch.undo()
+    # the same operators a workspace builds at that quad first
+    fresh = ModelWorkspace(1, 1, 3)
+    assert [op.to_str() for op in second] == \
+        [getattr(fresh, name)(2, 1, 1, 2).to_str() for name in names]
+
+
 def test_two_parameter_tensor_restricts_to_plain_one(ws112):
     ws = ws112
     for a in ws.colors():
@@ -374,6 +400,9 @@ _MEMOIZED = {
     "j0_squared": (1, 2),
     "t2_explicit": (1, 2),
     "tensor_O": (1, 2, 2, 1),
+    "_m_deriv": (1, 2),
+    "_n_deriv": (2, 1),
+    "_p_deriv": (1, 2),
     "tensor_M": (1, 2, 2, 1),
     "tensor_N": (2, 1, 1, 2),
     "tensor_P": (1, 1, 2, 2),

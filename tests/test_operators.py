@@ -403,12 +403,15 @@ def test_operations_never_mutate_operand_terms(A11, A21):
             assert (_snapshot(a), _snapshot(b), dict(st)) == before
 
 
-def rand_graded_operator(ctx, rng, parity):
+def rand_graded_operator(ctx, rng, parity, poly=False):
     """A nonzero sum of one to three units of word parity `parity`, with
-    coefficients and first-order derivatives."""
+    coefficients (polynomials only when `poly`) and first-order
+    derivatives."""
     g = ctx.grading
     f = ctx.field
     coeffs = (f.one, f.omega(1, 2), f.x(1) * f.x(2), f.x(2) + f.lam)
+    if poly:
+        coeffs = (f.one, f.x(1) - f.lam, f.x(1) * f.x(2), f.x(2) + f.lam)
     op = ctx.zero()
     while not op:
         for _ in range(rng.randint(1, 3)):
@@ -422,13 +425,13 @@ def rand_graded_operator(ctx, rng, parity):
     return op
 
 
-def graded_pairs(ctx, seed):
+def graded_pairs(ctx, seed, poly=False):
     """Random operand pairs of every parity combination, both orders."""
     rng = random.Random(seed)
     for pa, pb in ((0, 0), (0, 1), (1, 0), (1, 1)):
         for _ in range(3):
-            yield (rand_graded_operator(ctx, rng, pa),
-                   rand_graded_operator(ctx, rng, pb))
+            yield (rand_graded_operator(ctx, rng, pa, poly),
+                   rand_graded_operator(ctx, rng, pb, poly))
 
 
 @pytest.fixture
@@ -442,6 +445,87 @@ def mul_calls(monkeypatch):
 
     monkeypatch.setattr(OperatorSum, "mul", counting_mul)
     return calls
+
+
+@pytest.fixture
+def merge_calls(monkeypatch):
+    calls = []
+    merge = OperatorSum._merge
+
+    def counting_merge(self, other, sign):
+        calls.append(sign)
+        return merge(self, other, sign)
+
+    monkeypatch.setattr(OperatorSum, "_merge", counting_merge)
+    return calls
+
+
+def test_polynomial_bracket_adds_both_products_into_one_accumulator(
+        A11, A21, mul_calls, merge_calls):
+    for ctx in (A11, A21):
+        for a, b in graded_pairs(ctx, 131, poly=True):
+            assert a._is_poly() and b._is_poly()
+            assert not (a._is_multiplication() or b._is_multiplication())
+            sign = 1 if a.parity() and b.parity() else -1
+            for cut in (0, 1, 2):
+                want = a.mul(b, cut) + b.mul(a, cut).scale(sign)
+                del mul_calls[:]
+                del merge_calls[:]
+                assert a.bracket(b, cut) == want
+                # two products, both made inside ``mul``, and no merge
+                assert mul_calls == [cut, cut]
+                assert not merge_calls
+
+
+def test_rational_bracket_keeps_two_products_and_one_merge(
+        join_contexts, mul_calls, merge_calls):
+    merged = 0
+    for ctx in join_contexts:
+        rng = random.Random(137)
+        omega = ctx.field.omega(1, 2)
+        for pa, pb in ((0, 0), (0, 1), (1, 1)):
+            a = spin_operand(ctx, rng, pa).scale(omega)
+            b = spin_operand(ctx, rng, pb, poly=True)
+            assert b._is_poly() and not a._is_poly()
+            for x, y in ((a, b), (b, a)):
+                for cut in (0, 1):
+                    # a difference with a zero product needs no merge
+                    both = bool(x.mul(y, cut)) and bool(y.mul(x, cut))
+                    del mul_calls[:]
+                    del merge_calls[:]
+                    x.bracket(y, cut)
+                    assert mul_calls == [cut, cut]
+                    assert len(merge_calls) == both
+                    merged += both
+    assert merged >= 12
+
+
+def test_polynomial_bracket_budget_bounds_the_running_sum(A21):
+    # on site 1, [e(1,2), e(2,1)] = e(1,1) - e(2,2): each product has one
+    # term per color of site 2, three, and the two share none
+    a, b = A21.unit(1, 1, 2), A21.unit(1, 2, 1)
+    with term_budget(3):
+        assert len(a.mul(b)) == len(b.mul(a)) == 3
+        with pytest.raises(CapExceededError):
+            a.bracket(b)
+        # a rational bracket bounds each product alone, not the merge
+        assert len(a.scale(A21.field.omega(1, 2)).bracket(b)) == 6
+    with term_budget(6):
+        assert len(a.bracket(b)) == 6
+
+
+def test_negation_is_a_link(A11, A21):
+    zero = A11.zero()
+    assert -zero is zero
+    for ctx in (A11, A21):
+        for a, b in graded_pairs(ctx, 139):
+            neg = -a
+            assert -a is neg and -neg is a and a.scale(-1) is neg
+            assert neg.terms == {k: -f for k, f in a.terms.items()}
+            with ctx.field.arithmetic_memo():
+                a.bracket(b)
+                # a swap served off the memo hands out one object
+                assert b.bracket(a) is b.bracket(a)
 
 
 def test_bracket_memo_serves_repeats_and_swaps(A11, A21, mul_calls):
@@ -528,10 +612,10 @@ def multiplication_operands(ctx):
             ctx.scalar(Fraction(-3, 2)), ctx.scalar(f.lam))
 
 
-def spin_operand(ctx, rng, parity):
+def spin_operand(ctx, rng, parity, poly=False):
     """A random graded operator with derivative orders up to 3 on a site,
     so that Leibniz walks take several nonzero t."""
-    op = rand_graded_operator(ctx, rng, parity)
+    op = rand_graded_operator(ctx, rng, parity, poly)
     return op + op.mul(ctx.deriv(rng.randint(1, ctx.N), 2))
 
 

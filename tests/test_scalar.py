@@ -212,6 +212,26 @@ def test_operands_coerce_from_ints_and_fractions_not_floats(F3):
         f + 0.5
 
 
+def test_field_operands_skip_coercion(F3, monkeypatch):
+    # a function of the same field is taken as it is; numbers still coerce
+    f = F3.x(1) / (F3.x(2) - F3.x(3))
+    g = F3.x(2) * F3.lam
+    seen = []
+    coerce = RationalFunction._coerce
+
+    def counted(self, other):
+        seen.append(other)
+        return coerce(self, other)
+
+    monkeypatch.setattr(RationalFunction, "_coerce", counted)
+    f + g, f - g, f * g
+    assert not seen
+    assert f + 1 == f + F3.one
+    assert 1 - f == F3.one - f
+    assert f * Fraction(1, 2) == f * F3.const(1, 2)
+    assert seen == [1, 1, Fraction(1, 2)]
+
+
 def test_equality_is_between_functions(F3):
     # a constant function is not the number it takes, so == agrees with hash
     assert F3.one != 1 and F3.zero != 0

@@ -112,10 +112,13 @@ def test_nested_bracket_apply_never_multiplies(ws112, monkeypatch):
 def test_signs_build_no_new_coefficients(monkeypatch):
     # eq3.17's loop brackets subtract and sign-flip the same few
     # coefficients thousands of times; with one shared negation per
-    # coefficient the verdict builds 155 functions and negates 72
+    # coefficient the verdict builds 168 functions and negates 76
     # polynomials (6,588 and 6,409 when each sign built a new function;
     # 161 and 72 when the residual subtracted the right side summand by
-    # summand instead of collapsing it first)
+    # summand instead of collapsing it first; 155 and 72 when each bracket
+    # merged two finished products, before its polynomial brackets added
+    # BA into AB's accumulator pair by pair, whose partial sums are new
+    # functions)
     from colorcs import scalar
 
     counts = {"init": 0, "poly_neg": 0}
@@ -134,7 +137,30 @@ def test_signs_build_no_new_coefficients(monkeypatch):
     monkeypatch.setattr(scalar, "poly_neg", counted_neg)
     rep = run_one(ws, "eq3.17", max_spin=2, max_degree=0)
     assert rep.verdict == "pass" and rep.oracle_agrees
-    assert counts == {"init": 155, "poly_neg": 72}
+    assert counts == {"init": 168, "poly_neg": 76}
+
+
+def test_passing_residual_is_read_off_equality(ws112, monkeypatch):
+    from colorcs.operators import OperatorSum
+
+    cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=0)
+    with ws112.ctx.field.arithmetic_memo():
+        instances = list(vf.CASES["eq3.17"].instances(ws112, cfg))
+        # collapse each side once, so the brackets come from the memo
+        for inst in instances:
+            inst.lhs.operator(inst.cut)
+            inst.rhs.operator(inst.cut)
+
+        def boom(self, other):
+            raise AssertionError("a passing residual built a difference")
+
+        monkeypatch.setattr(OperatorSum, "__sub__", boom)
+        for inst in instances:
+            assert vf._residual(inst, None).is_zero
+    monkeypatch.undo()
+    # a failing instance still subtracts: eq3.21's pinned residual terms
+    rep = run_one(ws112, "eq3.21")
+    assert (rep.verdict, rep.residual_term_count) == ("fail", 40)
 
 
 def test_structural_case_passes(ws112):
