@@ -10,8 +10,9 @@ arguments), so repeated requests (the verifier loops over thousands of
 color tuples) cost one dict lookup.  That includes the site swap P_ij
 (``swap``) and the formal level -1 unit (``t_minus1``), so no case and
 no other builder calls ``AlgebraContext.swap`` itself.  Operators are
-never mutated after construction, so handing every caller the same
-object is safe.
+never mutated once handed out (the one dict changed after it is wrapped
+is a bracket's accumulator, inside ``OperatorSum.bracket``, before the
+bracket returns), so handing every caller the same object is safe.
 
 Every generator is a site sum, built by one of two recipes, with each
 site's piece dressed as e(i,a,b) (piece) when it carries a color pair:

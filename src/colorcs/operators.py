@@ -263,15 +263,14 @@ def _leibniz(g, p, nz, cap, j=0):
 
 
 class OperatorSum:
-    __slots__ = ("ctx", "terms", "_par", "_poly", "_mult", "_by_out",
-                 "_by_in", "_neg")
+    __slots__ = ("ctx", "terms", "_par", "_poly", "_by_out", "_by_in",
+                 "_neg")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         self.terms = terms
         self._par = None
         self._poly = None
-        self._mult = None
         self._by_out = None
         self._by_in = None
         self._neg = None
@@ -392,7 +391,10 @@ class OperatorSum:
         The private arguments are for ``bracket`` alone (the module
         docstring says why): ``_tail`` keeps only the Leibniz terms with
         t != 0, and ``_into`` is a term dict the product adds into, times
-        ``_sign``, instead of a fresh one."""
+        ``_sign``, instead of a fresh one.  The result then wraps that
+        dict, which a further ``_into`` product changes, so the caller
+        keeps only the last product's result; no other operator is ever
+        changed after construction."""
         self._check(other)
         ctx = self.ctx
         acc = {} if _into is None else _into
@@ -451,13 +453,7 @@ class OperatorSum:
     def _is_multiplication(self):
         """Whether this is multiplication by one coefficient, the shape
         ``AlgebraContext.scalar`` builds: every diagonal word at
-        derivative order zero, all with the same coefficient.  Cached as
-        the parity is."""
-        if self._mult is None:
-            self._mult = self._multiplies()
-        return self._mult
-
-    def _multiplies(self):
+        derivative order zero, all with the same coefficient."""
         ctx = self.ctx
         terms = self.terms
         diag = ctx._diag_keys()

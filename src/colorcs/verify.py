@@ -46,8 +46,8 @@ instance is read off that one comparison.  A leading-order right side
 is read only at degree >= its cut, so eqs. 3.34-3.36 build their
 right-side generator at that cut (the ``cut`` of the ``models``
 builders): W or Q_{s+s'-2,p+q}, or Q_{s+s'-1,p+q}, holds only its top
-degree, without the high Lax powers and brackets below it.  The left-side generators stay full builds,
-shared with the exact instances.
+degree, without the high Lax powers and brackets below it.  The
+left-side generators stay full builds, shared with the exact instances.
 
 The oracle checks the residual the symbolic verdict was read from: the
 sampled instances are drawn before the symbolic pass, which keeps their
@@ -83,7 +83,6 @@ import itertools
 import math
 import random
 import time
-import weakref
 
 from .errors import CapExceededError
 from .models import RATIONAL, TRIG, ModelWorkspace
@@ -130,7 +129,7 @@ class Leaf(Expr):
         self._op = op
 
     def operator(self, cut=0):
-        return self._op if cut <= 0 else self._op.filtered(cut)
+        return self._op.filtered(cut)
 
     def par(self):
         return self._op.parity()
@@ -381,21 +380,13 @@ def _eta(ws, a, b, c, d):
     return ((ws.parity(a) + ws.parity(b)) * (ws.parity(c) + ws.parity(d))) % 2
 
 
-_ZERO_LEAVES = weakref.WeakKeyDictionary()
-
-
 def _zero(ws) -> Expr:
-    """The workspace's one zero leaf."""
-    leaf = _ZERO_LEAVES.get(ws)
+    """The workspace's one zero leaf, kept in its builder memo: a verdict
+    with thousands of instances allocates no zero right side per instance."""
+    leaf = ws._memo.get(("_zero_leaf",))
     if leaf is None:
-        leaf = _ZERO_LEAVES[ws] = Leaf(ws.ctx.zero())
+        leaf = ws._memo[("_zero_leaf",)] = Leaf(ws.ctx.zero())
     return leaf
-
-
-def _leaves(gen):
-    """gen(*args) as a leaf, built and wrapped once per distinct args for
-    as long as the returned function lives (one verdict's generation)."""
-    return functools.cache(lambda *args: Leaf(gen(*args)))
 
 
 def _loop_rhs(ws, leaf, level, a, b, c, d) -> Expr:
@@ -470,10 +461,10 @@ def _shifted(gen_name):
 
 def _case_unit_bracket(ws, cfg):
     for i in range(1, ws.N + 1):
-        unit = _leaves(lambda _lv, x, y: ws.unit(i, x, y))
         for a, b, c, d in _quads(ws):
-            lhs = Bracket(unit(0, a, b), unit(0, c, d))
-            rhs = _loop_rhs(ws, unit, 0, a, b, c, d)
+            lhs = Bracket(Leaf(ws.unit(i, a, b)), Leaf(ws.unit(i, c, d)))
+            rhs = _loop_rhs(ws, lambda _lv, x, y: Leaf(ws.unit(i, x, y)),
+                            0, a, b, c, d)
             yield Instance(f"i={i} abcd={a}{b}{c}{d}", lhs, rhs)
 
 
@@ -581,7 +572,9 @@ def _tower_case(gen_name, levels):
     `gen_name`, for each level pair (s, p) and color quadruple."""
 
     def gen(ws, cfg):
-        G = _leaves(getattr(ws, gen_name))
+        build = getattr(ws, gen_name)
+        # each generator's leaf is built once per verdict
+        G = functools.cache(lambda *args: Leaf(build(*args)))
         for s, q in levels:
             for a, b, c, d in _quads(ws):
                 lhs = Bracket(G(s, a, b), G(q, c, d))
@@ -598,16 +591,16 @@ _LEVEL_SUMS = tuple((s, q) for s in range(4) for q in range(4 - s))
 def _case_level_one_bracket(ws, cfg):
     f = ws.ctx.field
     p = ws.parity
-    T = _leaves(ws.yangian_T)
     for a, b, c, d in _quads(ws):
-        lhs = Bracket(T(1, a, b), T(1, c, d))
+        lhs = Bracket(Leaf(ws.yangian_T(1, a, b)), Leaf(ws.yangian_T(1, c, d)))
         beta = (p(b) * p(c) + p(c) * p(d) + p(b) * p(d)) % 2
         defect = Add(
-            Mul(T(0, a, d), T(1, c, b)),
-            Scale(Mul(T(1, a, d), T(0, c, b)), -1),
+            Mul(Leaf(ws.yangian_T(0, a, d)), Leaf(ws.yangian_T(1, c, b))),
+            Scale(Mul(Leaf(ws.yangian_T(1, a, d)), Leaf(ws.yangian_T(0, c, b))), -1),
         )
         rhs = Add(
-            _loop_rhs(ws, T, 2, a, b, c, d),
+            _loop_rhs(ws, lambda lv, x, y: Leaf(ws.yangian_T(lv, x, y)), 2,
+                      a, b, c, d),
             Scale(defect, f.lam * (1 if beta else -1)),
         )
         yield Instance(f"abcd={a}{b}{c}{d}", lhs, rhs)
@@ -623,7 +616,6 @@ def _case_level_two_explicit(ws, cfg):
 def _unification_case(with_plain_bracket: bool):
     def gen(ws, cfg):
         f = ws.ctx.field
-        T = _leaves(ws.yangian_T)
         for a, b, c, d in _quads(ws):
             parts = [
                 Bracket(Leaf(ws.loop_J(1, a, b)), Leaf(ws.loop_K(1, c, d))),
@@ -634,7 +626,9 @@ def _unification_case(with_plain_bracket: bool):
             if with_plain_bracket:
                 parts.append(Scale(Bracket(Leaf(ws.loop_J(0, a, b)),
                                            Leaf(ws.loop_J(0, c, d))), -f.lam))
-            rhs = Scale(_loop_rhs(ws, T, 1, a, b, c, d), 2)
+            rhs = Scale(_loop_rhs(
+                ws, lambda lv, x, y: Leaf(ws.yangian_T(lv, x, y)), 1,
+                a, b, c, d), 2)
             yield Instance(f"abcd={a}{b}{c}{d}", Add(*parts), rhs)
 
     return gen
@@ -712,13 +706,14 @@ def _spin_bracket_case(colored):
 
 def _case_spin_bracket_color(ws, cfg):
     for s, sp, p, q in _spin_pairs(cfg, min(cfg.max_spin, 2)):
-        cut = (p + s - 1) + (q + sp - 1)
-        top = _leaves(lambda lv, x, y: ws.q_gen(s + sp - 1, p + q, x, y,
-                                                cut=cut))
         for a, b, c, d in _quads(ws):
             lhs = Bracket(Leaf(ws.q_gen(s, p, a, b)),
                           Leaf(ws.q_gen(sp, q, c, d)))
-            rhs = _loop_rhs(ws, top, 0, a, b, c, d)
+            cut = (p + s - 1) + (q + sp - 1)
+            rhs = _loop_rhs(
+                ws, lambda lv, x, y: Leaf(ws.q_gen(s + sp - 1, p + q, x, y,
+                                                   cut=cut)),
+                0, a, b, c, d)
             yield Instance(f"s={s} s'={sp} p={p} q={q} abcd={a}{b}{c}{d}",
                            lhs, rhs, cut=cut)
 
