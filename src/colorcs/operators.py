@@ -162,13 +162,16 @@ class AlgebraContext:
         self.N = N
         self.zero_deriv = (0,) * N
         self._identity_terms = None
+        self._zero = OperatorSum(self, {})
 
     def __repr__(self):
         g = self.grading
         return f"AlgebraContext(n={g.n}, m={g.m}, N={self.N})"
 
     def zero(self):
-        return OperatorSum(self, {})
+        """The context's one zero operator; sharing it is sound because
+        no operation mutates ``terms`` after construction."""
+        return self._zero
 
     def identity(self):
         return self.scalar(self.field.one)

@@ -3,7 +3,9 @@
 Every algebraic identity the package claims is registered here as a
 case.  A case expands into instances (one per color tuple, site pair,
 level choice and so on), each holding a left and a right expression
-tree over cached model operators.  Each instance is then judged twice:
+tree over cached model operators.  A node speaks the operator's own
+protocol (``filtered``, ``parity``, ``apply_to``), so an operator is a
+leaf as it stands.  Each instance is then judged twice:
 
 * symbolically: the trees are collapsed at the instance's derivative
   cut with the canonical operator arithmetic and the residual must
@@ -32,22 +34,23 @@ action path applies a bracket's operands to states itself.
 Every instance has a derivative cut: 0 for an exact identity, the
 leading degree for a leading-order one (eqs. 3.34-3.36 and the leading
 symbols of eqs. 3.31 and 3.32).  Every node collapses at a cut; products
-take full operands.  ``Expr.operator(cut)`` is the node's terms at
-derivative degree >= cut: a leaf filters its operator (at 0 it is the
-operator itself), a sum or a scaling passes the cut to its items, and a
-product or a bracket collapses its operands in full, because its top
-needs their lower terms, and truncates only its own ``mul`` or
-``bracket`` (sound by the rule in ``operators``: Leibniz only lowers the
-degree).  The residual is lhs - rhs at the cut, each side collapsed as
-written.  When the two sides hold the same terms with equal coefficients
-it is zero and no difference is built: canonical forms make structural
-equality mathematical equality (see ``scalar``), so every passing
-instance is read off that one comparison.  A leading-order right side
-is read only at degree >= its cut, so eqs. 3.34-3.36 build their
-right-side generator at that cut (the ``cut`` of the ``models``
-builders): W or Q_{s+s'-2,p+q}, or Q_{s+s'-1,p+q}, holds only its top
-degree, without the high Lax powers and brackets below it.  The
-left-side generators stay full builds, shared with the exact instances.
+take full operands.  ``filtered(cut)`` is the node's terms at
+derivative degree >= cut: a leaf is an operator and filters its terms
+(at 0 it is the operator itself), a sum or a scaling passes the cut to
+its items, and a product or a bracket collapses its operands in full,
+because its top needs their lower terms, and truncates only its own
+``mul`` or ``bracket`` (sound by the rule in ``operators``: Leibniz only
+lowers the degree).  The residual is lhs - rhs at the cut, each side
+collapsed as written.  When the two sides hold the same terms with equal
+coefficients it is the context's one zero and no difference is built:
+canonical forms make structural equality mathematical equality (see
+``scalar``), so every passing instance is read off that one comparison.
+A leading-order right side is read only at degree >= its cut, so eqs.
+3.34-3.36 build their right-side generator at that cut (the ``cut`` of
+the ``models`` builders): W or Q_{s+s'-2,p+q}, or Q_{s+s'-1,p+q}, holds
+only its top degree, without the high Lax powers and brackets below it.
+The left-side generators stay full builds, shared with the exact
+instances.
 
 The oracle checks the residual the symbolic verdict was read from: the
 sampled instances are drawn before the symbolic pass, which keeps their
@@ -104,56 +107,34 @@ VERDICT_TRUNCATED = "truncated"
 
 class Expr:
     """Tiny two-way expression node: collapses to an operator, or acts
-    on a state compositionally without ever multiplying operators."""
+    on a state compositionally without ever multiplying operators.
+
+    The node protocol is the operator protocol, so an ``OperatorSum`` is
+    a leaf as it stands: ``filtered(cut)`` is the node's terms at
+    derivative degree >= cut (a cut of 0 or less keeps them all),
+    ``parity()`` its word parity, read off the tree so the action path
+    never has to collapse a subtree into an operator product, and
+    ``apply_to(state)`` its action on a probe state."""
 
     __slots__ = ()
-
-    def operator(self, cut: int = 0) -> OperatorSum:
-        """The node's terms at derivative degree >= cut; a cut of 0 or
-        less keeps them all."""
-        raise NotImplementedError
-
-    def par(self) -> int:
-        """Word parity, read off the tree so the action path never has
-        to collapse a subtree into an operator product."""
-        raise NotImplementedError
-
-    def apply(self, state):
-        raise NotImplementedError
-
-
-class Leaf(Expr):
-    __slots__ = ("_op",)
-
-    def __init__(self, op: OperatorSum):
-        self._op = op
-
-    def operator(self, cut=0):
-        return self._op.filtered(cut)
-
-    def par(self):
-        return self._op.parity()
-
-    def apply(self, state):
-        return self._op.apply_to(state)
 
 
 class Mul(Expr):
     __slots__ = ("a", "b")
 
-    def __init__(self, a: Expr, b: Expr):
+    def __init__(self, a, b):
         self.a = a
         self.b = b
 
-    def operator(self, cut=0):
+    def filtered(self, cut):
         # a top needs its operands' lower terms: they collapse in full
-        return self.a.operator().mul(self.b.operator(), cut)
+        return self.a.filtered(0).mul(self.b.filtered(0), cut)
 
-    def par(self):
-        return (self.a.par() + self.b.par()) % 2
+    def parity(self):
+        return (self.a.parity() + self.b.parity()) % 2
 
-    def apply(self, state):
-        return self.a.apply(self.b.apply(state))
+    def apply_to(self, state):
+        return self.a.apply_to(self.b.apply_to(state))
 
 
 class Bracket(Expr):
@@ -161,67 +142,67 @@ class Bracket(Expr):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: Expr, b: Expr):
+    def __init__(self, a, b):
         self.a = a
         self.b = b
 
     def _sign(self) -> int:
         # coefficient of the reversed product: -(-1)^{p(A) p(B)}
-        return 1 if self.a.par() and self.b.par() else -1
+        return 1 if self.a.parity() and self.b.parity() else -1
 
-    def par(self):
-        return (self.a.par() + self.b.par()) % 2
+    def parity(self):
+        return (self.a.parity() + self.b.parity()) % 2
 
-    def operator(self, cut=0):
+    def filtered(self, cut):
         # operands in full, as in Mul
-        return self.a.operator().bracket(self.b.operator(), cut)
+        return self.a.filtered(0).bracket(self.b.filtered(0), cut)
 
-    def apply(self, state):
-        left = self.a.apply(self.b.apply(state))
-        right = self.b.apply(self.a.apply(state))
+    def apply_to(self, state):
+        left = self.a.apply_to(self.b.apply_to(state))
+        right = self.b.apply_to(self.a.apply_to(state))
         return _state_add(left, right, self._sign())
 
 
 class Add(Expr):
     __slots__ = ("items",)
 
-    def __init__(self, *items: Expr):
+    def __init__(self, *items):
         self.items = items
 
-    def operator(self, cut=0):
-        op = self.items[0].operator(cut)
+    def filtered(self, cut):
+        op = self.items[0].filtered(cut)
         for it in self.items[1:]:
-            op = op + it.operator(cut)
+            op = op + it.filtered(cut)
         return op
 
-    def par(self):
+    def parity(self):
         # summands of a well-formed identity share one word parity
-        return self.items[0].par()
+        return self.items[0].parity()
 
-    def apply(self, state):
+    def apply_to(self, state):
         out = {}
         for it in self.items:
-            out = _state_add(out, it.apply(state), 1)
+            out = _state_add(out, it.apply_to(state), 1)
         return out
 
 
 class Scale(Expr):
     __slots__ = ("inner", "coeff")
 
-    def __init__(self, inner: Expr, coeff):
+    def __init__(self, inner, coeff):
         self.inner = inner
         self.coeff = coeff
 
-    def operator(self, cut=0):
-        return self.inner.operator(cut).scale(self.coeff)
+    def filtered(self, cut):
+        return self.inner.filtered(cut).scale(self.coeff)
 
-    def par(self):
-        return self.inner.par()
+    def parity(self):
+        return self.inner.parity()
 
-    def apply(self, state):
+    def apply_to(self, state):
         c = self.coeff
         out = {}
-        for st, amp in self.inner.apply(state).items():
+        for st, amp in self.inner.apply_to(state).items():
             v = amp * c
             if v:
                 out[st] = v
@@ -250,7 +231,7 @@ def _state_is_zero(state) -> bool:
 class Instance:
     __slots__ = ("label", "lhs", "rhs", "cut")
 
-    def __init__(self, label: str, lhs: Expr, rhs: Expr, cut: int = 0):
+    def __init__(self, label: str, lhs, rhs, cut: int = 0):
         self.label = label
         self.lhs = lhs
         self.rhs = rhs
@@ -380,28 +361,19 @@ def _eta(ws, a, b, c, d):
     return ((ws.parity(a) + ws.parity(b)) * (ws.parity(c) + ws.parity(d))) % 2
 
 
-def _zero(ws) -> Expr:
-    """The workspace's one zero leaf, kept in its builder memo: a verdict
-    with thousands of instances allocates no zero right side per instance."""
-    leaf = ws._memo.get(("_zero_leaf",))
-    if leaf is None:
-        leaf = ws._memo[("_zero_leaf",)] = Leaf(ws.ctx.zero())
-    return leaf
-
-
-def _loop_rhs(ws, leaf, level, a, b, c, d) -> Expr:
+def _loop_rhs(ws, G, level, a, b, c, d):
     """delta_bc G^{ad} - (-1)^eta delta_da G^{cb} at the given level, where
-    leaf(level, x, y) is the leaf of G^{xy}."""
+    G(level, x, y) is the operator G^{xy}."""
     items = []
     if b == c:
-        items.append(leaf(level, a, d))
+        items.append(G(level, a, d))
     if d == a:
         sign = -1 if _eta(ws, a, b, c, d) == 0 else 1
-        items.append(Scale(leaf(level, c, b), sign))
-    return Add(*items) if items else _zero(ws)
+        items.append(Scale(G(level, c, b), sign))
+    return Add(*items) if items else ws.ctx.zero()
 
 
-def _serre_rhs(ws, tensor, a, b, c, d, e, f) -> Expr:
+def _serre_rhs(ws, tensor, a, b, c, d, e, f):
     """The six-delta combination shared by the mixed Serre identities."""
     p = ws.parity
     eta = ((p(a) + p(b)) * (p(c) + p(d))) % 2
@@ -409,19 +381,19 @@ def _serre_rhs(ws, tensor, a, b, c, d, e, f) -> Expr:
     gamma = ((p(a) + p(b)) * (p(c) + p(d) + p(e) + p(f))) % 2
     items = []
     if b == c:
-        items.append(Leaf(tensor(a, d, e, f)))
+        items.append(tensor(a, d, e, f))
     if d == e:
-        items.append(Scale(Leaf(tensor(a, b, c, f)), -1))
+        items.append(Scale(tensor(a, b, c, f), -1))
     if c == f:
-        items.append(Scale(Leaf(tensor(a, b, e, d)), -1 if delta else 1))
+        items.append(Scale(tensor(a, b, e, d), -1 if delta else 1))
     if b == e:
-        items.append(Scale(Leaf(tensor(c, d, a, f)), -1 if eta else 1))
+        items.append(Scale(tensor(c, d, a, f), -1 if eta else 1))
     if a == d:
-        items.append(Scale(Leaf(tensor(c, b, e, f)), 1 if eta else -1))
+        items.append(Scale(tensor(c, b, e, f), 1 if eta else -1))
     if a == f:
-        items.append(Scale(Leaf(tensor(c, d, e, b)), 1 if gamma else -1))
+        items.append(Scale(tensor(c, d, e, b), 1 if gamma else -1))
     if not items:
-        return _zero(ws)
+        return ws.ctx.zero()
     return Scale(Add(*items), ws.ctx.field.lam)
 
 
@@ -438,7 +410,7 @@ def _serre_case(case_id, base0, base1, tensor=None):
             second = Bracket(base1(ws, a, b),
                              Bracket(base0(ws, c, d), base1(ws, e, f)))
             lhs = Add(first, Scale(second, -1))
-            rhs = _zero(ws) if tensor is None else \
+            rhs = ws.ctx.zero() if tensor is None else \
                 _serre_rhs(ws, getattr(ws, tensor), a, b, c, d, e, f)
             yield Instance(f"abcdef={a}{b}{c}{d}{e}{f}", lhs, rhs)
 
@@ -446,14 +418,14 @@ def _serre_case(case_id, base0, base1, tensor=None):
 
 
 def _level(gen_name, level):
-    """A Serre base: the leaf of generator `gen_name` at a fixed level."""
-    return lambda ws, a, b: Leaf(getattr(ws, gen_name)(level, a, b))
+    """A Serre base: generator `gen_name` at a fixed level."""
+    return lambda ws, a, b: getattr(ws, gen_name)(level, a, b)
 
 
 def _shifted(gen_name):
     """A Serre base: level 1 of `gen_name` plus the Yangian level 1."""
-    return lambda ws, a, b: Add(Leaf(getattr(ws, gen_name)(1, a, b)),
-                                Leaf(ws.yangian_T(1, a, b)))
+    return lambda ws, a, b: Add(getattr(ws, gen_name)(1, a, b),
+                                ws.yangian_T(1, a, b))
 
 
 # -- the case catalog ---------------------------------------------------------
@@ -462,55 +434,55 @@ def _shifted(gen_name):
 def _case_unit_bracket(ws, cfg):
     for i in range(1, ws.N + 1):
         for a, b, c, d in _quads(ws):
-            lhs = Bracket(Leaf(ws.unit(i, a, b)), Leaf(ws.unit(i, c, d)))
-            rhs = _loop_rhs(ws, lambda _lv, x, y: Leaf(ws.unit(i, x, y)),
+            lhs = Bracket(ws.unit(i, a, b), ws.unit(i, c, d))
+            rhs = _loop_rhs(ws, lambda _lv, x, y: ws.unit(i, x, y),
                             0, a, b, c, d)
             yield Instance(f"i={i} abcd={a}{b}{c}{d}", lhs, rhs)
 
 
 def _case_exchange_rules(ws, cfg):
-    ident = Leaf(ws.ctx.identity())
+    ident = ws.ctx.identity()
     for i, j in itertools.combinations(range(1, ws.N + 1), 2):
-        pij = Leaf(ws.swap(i, j))
-        yield Instance(f"sym {i}{j}", pij, Leaf(ws.swap(j, i)))
+        pij = ws.swap(i, j)
+        yield Instance(f"sym {i}{j}", pij, ws.swap(j, i))
         yield Instance(f"inv {i}{j}", Mul(pij, pij), ident)
     for i, j, k in itertools.permutations(range(1, ws.N + 1), 3):
-        pij = Leaf(ws.swap(i, j))
-        pjk = Leaf(ws.swap(j, k))
-        pik = Leaf(ws.swap(i, k))
+        pij = ws.swap(i, j)
+        pjk = ws.swap(j, k)
+        pik = ws.swap(i, k)
         yield Instance(f"braid {i}{j}{k}", Mul(pij, pjk), Mul(pik, pij))
 
 
 def _case_supercommutation(ws, cfg):
     for i, j in itertools.combinations(range(1, ws.N + 1), 2):
         for a, b, c, d in _quads(ws):
-            ei = Leaf(ws.unit(i, a, b))
-            ej = Leaf(ws.unit(j, c, d))
+            ei = ws.unit(i, a, b)
+            ej = ws.unit(j, c, d)
             sign = -1 if _eta(ws, a, b, c, d) else 1
             lhs = Add(Mul(ei, ej), Scale(Mul(ej, ei), -sign))
-            yield Instance(f"ij={i}{j} abcd={a}{b}{c}{d}", lhs, _zero(ws))
+            yield Instance(f"ij={i}{j} abcd={a}{b}{c}{d}", lhs, ws.ctx.zero())
 
 
 def _case_exchange_conjugation(ws, cfg):
     for i, j in itertools.permutations(range(1, ws.N + 1), 2):
-        p = Leaf(ws.swap(i, j))
+        p = ws.swap(i, j)
         for a, b in _pairs(ws):
-            lhs = Mul(Mul(p, Leaf(ws.unit(i, a, b))), p)
-            yield Instance(f"ij={i}{j} ab={a}{b}", lhs, Leaf(ws.unit(j, a, b)))
+            lhs = Mul(Mul(p, ws.unit(i, a, b)), p)
+            yield Instance(f"ij={i}{j} ab={a}{b}", lhs, ws.unit(j, a, b))
 
 
 def _case_lax_evolution(ws, cfg):
     for kind in (RATIONAL, TRIG):
-        h = Leaf(ws.hamiltonian(kind))
+        h = ws.hamiltonian(kind)
         L = ws.lax(kind, "L")
         M = ws.lax(kind, "M")
         for i in range(ws.N):
             for j in range(ws.N):
-                lhs = Bracket(h, Leaf(L[i][j]))
+                lhs = Bracket(h, L[i][j])
                 items = []
                 for k in range(ws.N):
-                    items.append(Mul(Leaf(L[i][k]), Leaf(M[k][j])))
-                    items.append(Scale(Mul(Leaf(M[i][k]), Leaf(L[k][j])), -1))
+                    items.append(Mul(L[i][k], M[k][j]))
+                    items.append(Scale(Mul(M[i][k], L[k][j]), -1))
                 yield Instance(f"{kind} entry={i + 1}{j + 1}", lhs, Add(*items))
 
 
@@ -518,10 +490,10 @@ def _case_partner_sum_rule(ws, cfg):
     for kind in (RATIONAL, TRIG):
         M = ws.lax(kind, "M")
         for i in range(ws.N):
-            row = Add(*[Leaf(M[i][k]) for k in range(ws.N)])
-            col = Add(*[Leaf(M[k][i]) for k in range(ws.N)])
-            yield Instance(f"{kind} row={i + 1}", row, _zero(ws))
-            yield Instance(f"{kind} col={i + 1}", col, _zero(ws))
+            row = Add(*[M[i][k] for k in range(ws.N)])
+            col = Add(*[M[k][i] for k in range(ws.N)])
+            yield Instance(f"{kind} row={i + 1}", row, ws.ctx.zero())
+            yield Instance(f"{kind} col={i + 1}", col, ws.ctx.zero())
 
 
 def _conservation_case(gen_name, kind, levels):
@@ -530,11 +502,11 @@ def _conservation_case(gen_name, kind, levels):
 
     def gen(ws, cfg):
         G = getattr(ws, gen_name)
-        h = Leaf(ws.hamiltonian(kind))
+        h = ws.hamiltonian(kind)
         for level in levels:
             for a, b in _pairs(ws):
-                lhs = Bracket(Leaf(G(level, a, b)), h)
-                yield Instance(f"level={level} ab={a}{b}", lhs, _zero(ws))
+                lhs = Bracket(G(level, a, b), h)
+                yield Instance(f"level={level} ab={a}{b}", lhs, ws.ctx.zero())
 
     return gen
 
@@ -553,13 +525,13 @@ def _yangian_defining(graded_unit: bool):
             for q in (-1, 0, 1):
                 for a, b, c, d in _quads(ws):
                     lhs = Add(
-                        Bracket(Leaf(T(s, a, b)), Leaf(T(q + 1, c, d))),
-                        Scale(Bracket(Leaf(T(s + 1, a, b)), Leaf(T(q, c, d))), -1),
+                        Bracket(T(s, a, b), T(q + 1, c, d)),
+                        Scale(Bracket(T(s + 1, a, b), T(q, c, d)), -1),
                     )
                     alpha = (p(c) * p(a) + p(c) * p(b) + p(b) * p(a)) % 2
                     inner = Add(
-                        Mul(Leaf(T(q, c, b)), Leaf(T(s, a, d))),
-                        Scale(Mul(Leaf(T(s, c, b)), Leaf(T(q, a, d))), -1),
+                        Mul(T(q, c, b), T(s, a, d)),
+                        Scale(Mul(T(s, c, b), T(q, a, d)), -1),
                     )
                     rhs = Scale(inner, f.lam * (-1 if alpha else 1))
                     yield Instance(f"s={s} p={q} abcd={a}{b}{c}{d}", lhs, rhs)
@@ -573,8 +545,8 @@ def _tower_case(gen_name, levels):
 
     def gen(ws, cfg):
         build = getattr(ws, gen_name)
-        # each generator's leaf is built once per verdict
-        G = functools.cache(lambda *args: Leaf(build(*args)))
+        # each generator is looked up once per verdict
+        G = functools.cache(build)
         for s, q in levels:
             for a, b, c, d in _quads(ws):
                 lhs = Bracket(G(s, a, b), G(q, c, d))
@@ -592,15 +564,14 @@ def _case_level_one_bracket(ws, cfg):
     f = ws.ctx.field
     p = ws.parity
     for a, b, c, d in _quads(ws):
-        lhs = Bracket(Leaf(ws.yangian_T(1, a, b)), Leaf(ws.yangian_T(1, c, d)))
+        lhs = Bracket(ws.yangian_T(1, a, b), ws.yangian_T(1, c, d))
         beta = (p(b) * p(c) + p(c) * p(d) + p(b) * p(d)) % 2
         defect = Add(
-            Mul(Leaf(ws.yangian_T(0, a, d)), Leaf(ws.yangian_T(1, c, b))),
-            Scale(Mul(Leaf(ws.yangian_T(1, a, d)), Leaf(ws.yangian_T(0, c, b))), -1),
+            Mul(ws.yangian_T(0, a, d), ws.yangian_T(1, c, b)),
+            Scale(Mul(ws.yangian_T(1, a, d), ws.yangian_T(0, c, b)), -1),
         )
         rhs = Add(
-            _loop_rhs(ws, lambda lv, x, y: Leaf(ws.yangian_T(lv, x, y)), 2,
-                      a, b, c, d),
+            _loop_rhs(ws, ws.yangian_T, 2, a, b, c, d),
             Scale(defect, f.lam * (1 if beta else -1)),
         )
         yield Instance(f"abcd={a}{b}{c}{d}", lhs, rhs)
@@ -608,9 +579,8 @@ def _case_level_one_bracket(ws, cfg):
 
 def _case_level_two_explicit(ws, cfg):
     for a, b in _pairs(ws):
-        yield Instance(f"ab={a}{b}",
-                       Leaf(ws.yangian_T(2, a, b)),
-                       Leaf(ws.t2_explicit(a, b)))
+        yield Instance(f"ab={a}{b}", ws.yangian_T(2, a, b),
+                       ws.t2_explicit(a, b))
 
 
 def _unification_case(with_plain_bracket: bool):
@@ -618,17 +588,15 @@ def _unification_case(with_plain_bracket: bool):
         f = ws.ctx.field
         for a, b, c, d in _quads(ws):
             parts = [
-                Bracket(Leaf(ws.loop_J(1, a, b)), Leaf(ws.loop_K(1, c, d))),
-                Bracket(Leaf(ws.loop_K(1, a, b)), Leaf(ws.loop_J(1, c, d))),
-                Scale(Bracket(Leaf(ws.loop_J(0, a, b)),
-                              Leaf(ws.j0_squared(c, d))), f.lam),
+                Bracket(ws.loop_J(1, a, b), ws.loop_K(1, c, d)),
+                Bracket(ws.loop_K(1, a, b), ws.loop_J(1, c, d)),
+                Scale(Bracket(ws.loop_J(0, a, b),
+                              ws.j0_squared(c, d)), f.lam),
             ]
             if with_plain_bracket:
-                parts.append(Scale(Bracket(Leaf(ws.loop_J(0, a, b)),
-                                           Leaf(ws.loop_J(0, c, d))), -f.lam))
-            rhs = Scale(_loop_rhs(
-                ws, lambda lv, x, y: Leaf(ws.yangian_T(lv, x, y)), 1,
-                a, b, c, d), 2)
+                parts.append(Scale(Bracket(ws.loop_J(0, a, b),
+                                           ws.loop_J(0, c, d)), -f.lam))
+            rhs = Scale(_loop_rhs(ws, ws.yangian_T, 1, a, b, c, d), 2)
             yield Instance(f"abcd={a}{b}{c}{d}", Add(*parts), rhs)
 
     return gen
@@ -646,19 +614,19 @@ def _recursion_instances(ws, cfg, gen, leading, tag):
     sees how either was built.  At s = 1 there is no step: the spin-1
     generator is its seed (J_q, or the colorless row sum) by construction,
     so only its leading symbol is checked."""
-    x2 = Leaf(ws.x_squared())
+    x2 = ws.x_squared()
     for s in range(1, cfg.max_spin + 1):
         for q in range(0, cfg.max_degree + 1):
             if s == 1:
                 yield Instance(f"leading s=1 p={q}{tag}",
-                               Leaf(gen(1, q)), Leaf(leading(1, q)), cut=q)
+                               gen(1, q), leading(1, q), cut=q)
                 continue
-            step = Bracket(x2, Leaf(gen(s - 1, q + 2)))
+            step = Bracket(x2, gen(s - 1, q + 2))
             yield Instance(f"closed s={s} p={q}{tag}",
                            Scale(step, ws.ctx.field.const(1, 2 * (q + s))),
-                           Leaf(gen(s, q)))
+                           gen(s, q))
             yield Instance(f"leading s={s} p={q}{tag}", step,
-                           Scale(Leaf(leading(s, q)), 2 * (q + s)),
+                           Scale(leading(s, q), 2 * (q + s)),
                            cut=q + s - 1)
 
 
@@ -692,11 +660,11 @@ def _spin_bracket_case(colored):
         G = ws.q_gen if colored else ws.w_gen
         for s, sp, p, q in _spin_pairs(cfg, min(cfg.max_spin, 2)):
             for pair in _pairs(ws) if colored else [()]:
-                lhs = Bracket(Leaf(ws.w_gen(s, p)), Leaf(G(sp, q, *pair)))
+                lhs = Bracket(ws.w_gen(s, p), G(sp, q, *pair))
                 coeff = (s - 1) * q - (sp - 1) * p
                 cut = (p + s - 1) + (q + sp - 1) - 1
-                rhs = Scale(Leaf(G(s + sp - 2, p + q, *pair, cut=cut)),
-                            coeff) if coeff else _zero(ws)
+                rhs = Scale(G(s + sp - 2, p + q, *pair, cut=cut),
+                            coeff) if coeff else ws.ctx.zero()
                 tag = " ab={}{}".format(*pair) if pair else ""
                 yield Instance(f"s={s} s'={sp} p={p} q={q}{tag}",
                                lhs, rhs, cut=cut)
@@ -707,12 +675,11 @@ def _spin_bracket_case(colored):
 def _case_spin_bracket_color(ws, cfg):
     for s, sp, p, q in _spin_pairs(cfg, min(cfg.max_spin, 2)):
         for a, b, c, d in _quads(ws):
-            lhs = Bracket(Leaf(ws.q_gen(s, p, a, b)),
-                          Leaf(ws.q_gen(sp, q, c, d)))
+            lhs = Bracket(ws.q_gen(s, p, a, b), ws.q_gen(sp, q, c, d))
             cut = (p + s - 1) + (q + sp - 1)
             rhs = _loop_rhs(
-                ws, lambda lv, x, y: Leaf(ws.q_gen(s + sp - 1, p + q, x, y,
-                                                   cut=cut)),
+                ws, lambda lv, x, y: ws.q_gen(s + sp - 1, p + q, x, y,
+                                              cut=cut),
                 0, a, b, c, d)
             yield Instance(f"s={s} s'={sp} p={p} q={q} abcd={a}{b}{c}{d}",
                            lhs, rhs, cut=cut)
@@ -725,22 +692,20 @@ def _case_free_spin_algebra(ws, cfg):
 
 
 def _free_spin_instance(ws, s, sp, p, q, a, b, c, d):
-    lhs = Bracket(Leaf(ws.q_free(s, p, a, b)), Leaf(ws.q_free(sp, q, c, d)))
+    lhs = Bracket(ws.q_free(s, p, a, b), ws.q_free(sp, q, c, d))
     items = []
     if b == c:
         deg = p + s - 1
         for k in range(0, min(deg, sp - 1) + 1):
             coeff = math.comb(deg, k) * math.perm(sp - 1, k)
-            items.append(Scale(
-                Leaf(ws.q_free(s + sp - 1 - k, p + q, a, d)), coeff))
+            items.append(Scale(ws.q_free(s + sp - 1 - k, p + q, a, d), coeff))
     if d == a:
         deg = q + sp - 1
         sign = -1 if _eta(ws, a, b, c, d) == 0 else 1
         for k in range(0, min(deg, s - 1) + 1):
             coeff = sign * math.comb(deg, k) * math.perm(s - 1, k)
-            items.append(Scale(
-                Leaf(ws.q_free(s + sp - 1 - k, p + q, c, b)), coeff))
-    rhs = Add(*items) if items else _zero(ws)
+            items.append(Scale(ws.q_free(s + sp - 1 - k, p + q, c, b), coeff))
+    rhs = Add(*items) if items else ws.ctx.zero()
     return Instance(f"s={s} s'={sp} p={p} q={q} abcd={a}{b}{c}{d}", lhs, rhs)
 
 
@@ -832,7 +797,7 @@ for _spec in [
     CaseSpec("eq3.27", "loop",
              "two-parameter family Serre defect matches its tensor", 1,
              _serre_case("eq3.27", _level("loop_J", 0),
-                         lambda ws, a, b: Leaf(ws.q1_family(a, b)),
+                         lambda ws, a, b: ws.q1_family(a, b),
                          "tensor_P")),
     CaseSpec("eq3.31", "winf",
              "scalar spin recursion equals the closed form", 1,
@@ -881,10 +846,10 @@ def residual_records(op, max_terms=200):
 
 
 def _residual(inst, lam):
-    """lhs - rhs at the instance's cut; zero, with no difference built,
-    when the two sides are equal term by term."""
-    lhs = inst.lhs.operator(inst.cut)
-    rhs = inst.rhs.operator(inst.cut)
+    """lhs - rhs at the instance's cut; the context's one zero, with no
+    difference built, when the two sides are equal term by term."""
+    lhs = inst.lhs.filtered(inst.cut)
+    rhs = inst.rhs.filtered(inst.cut)
     res = lhs.ctx.zero() if lhs.terms == rhs.terms else lhs - rhs
     return res if lam is None else res.substitute_lambda(lam)
 
@@ -915,7 +880,8 @@ def _oracle_instance(ws, cfg, inst, residual):
     operator product."""
     action_zero = True
     for psi in _probe_states(ws):
-        composed = _state_add(inst.lhs.apply(psi), inst.rhs.apply(psi), -1)
+        composed = _state_add(inst.lhs.apply_to(psi),
+                              inst.rhs.apply_to(psi), -1)
         composed = {st: amp for st, amp in composed.items()
                     if sum(st[1]) >= inst.cut}
         if cfg.lam is not None:

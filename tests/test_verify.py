@@ -48,49 +48,47 @@ def test_probe_states_are_one_per_basis_state(ws112):
 def test_expr_bracket_matches_operator_bracket(ws112):
     a = ws112.unit(1, 1, 2)
     b = ws112.unit(2, 2, 1)
-    node = vf.Bracket(vf.Leaf(a), vf.Leaf(b))
-    assert node.par() == 0
+    node = vf.Bracket(a, b)
+    assert node.parity() == 0
     assert node._sign() == 1  # both operands odd: anticommutator
-    assert node.operator() == a.bracket(b)
-    assert node.operator(0) == a.bracket(b)
+    assert node.filtered(0) == a.bracket(b)
 
 
 def test_every_node_collapses_at_a_cut(ws112):
     # operands with terms at several derivative degrees, so a product's
     # top needs its operands' lower terms
-    t1 = vf.Leaf(ws112.yangian_T(1, 1, 2))
-    h = vf.Leaf(ws112.hamiltonian("sutherland"))
-    x2 = vf.Leaf(ws112.x_squared())
+    t1 = ws112.yangian_T(1, 1, 2)
+    h = ws112.hamiltonian("sutherland")
+    x2 = ws112.x_squared()
     nodes = [
         h,
         vf.Mul(t1, h),
         vf.Bracket(x2, h),
-        vf.Bracket(t1, vf.Leaf(ws112.yangian_T(1, 2, 1))),
+        vf.Bracket(t1, ws112.yangian_T(1, 2, 1)),
         vf.Scale(h, Fraction(1, 3)),
         vf.Add(vf.Mul(h, t1), vf.Scale(vf.Bracket(x2, h), -1), t1),
     ]
     for node in nodes:
-        full = node.operator()
+        full = node.filtered(0)
         top = full.max_deriv_degree()
         assert top >= 1
         for cut in range(-1, top + 2):
-            assert node.operator(cut) == full.filtered(cut), (node, cut)
-        assert node.operator(top + 1).is_zero
+            assert node.filtered(cut) == full.filtered(cut), (node, cut)
+        assert node.filtered(top + 1).is_zero
     op = ws112.yangian_T(1, 1, 2)
-    assert vf.Leaf(op).operator(0) is op
-    assert vf.Leaf(op).operator(-1) is op
+    assert op.filtered(0) is op
+    assert op.filtered(-1) is op
 
 
 def test_expr_apply_matches_collapsed_operator(ws112):
     f = ws112.ctx.field
     expr = vf.Add(
-        vf.Bracket(vf.Leaf(ws112.yangian_T(1, 1, 2)),
-                   vf.Leaf(ws112.yangian_T(0, 2, 1))),
-        vf.Scale(vf.Leaf(ws112.hamiltonian("sutherland")), Fraction(1, 3)),
+        vf.Bracket(ws112.yangian_T(1, 1, 2), ws112.yangian_T(0, 2, 1)),
+        vf.Scale(ws112.hamiltonian("sutherland"), Fraction(1, 3)),
     )
     psi = {((1, 2), (0, 1)): f.monomial({0: 1, 1: 2})}
-    via_tree = expr.apply(psi)
-    via_op = expr.operator().apply_to(psi)
+    via_tree = expr.apply_to(psi)
+    via_op = expr.filtered(0).apply_to(psi)
     assert not vf._state_is_zero(via_op)
     assert vf._state_is_zero(vf._state_add(via_tree, via_op, -1))
 
@@ -101,12 +99,11 @@ def test_nested_bracket_apply_never_multiplies(ws112, monkeypatch):
     def boom(self, other, cut=0):
         raise AssertionError("action path formed an operator product")
 
-    inner = vf.Bracket(vf.Leaf(ws112.yangian_T(1, 1, 2)),
-                       vf.Leaf(ws112.yangian_T(1, 2, 1)))
-    outer = vf.Bracket(vf.Leaf(ws112.yangian_T(0, 1, 1)), inner)
+    inner = vf.Bracket(ws112.yangian_T(1, 1, 2), ws112.yangian_T(1, 2, 1))
+    outer = vf.Bracket(ws112.yangian_T(0, 1, 1), inner)
     psi = {((1, 2), (0, 0)): ws112.ctx.field.one}
     monkeypatch.setattr(OperatorSum, "mul", boom)
-    outer.apply(psi)
+    outer.apply_to(psi)
 
 
 def test_signs_build_no_new_coefficients(monkeypatch):
@@ -148,8 +145,8 @@ def test_passing_residual_is_read_off_equality(ws112, monkeypatch):
         instances = list(vf.CASES["eq3.17"].instances(ws112, cfg))
         # collapse each side once, so the brackets come from the memo
         for inst in instances:
-            inst.lhs.operator(inst.cut)
-            inst.rhs.operator(inst.cut)
+            inst.lhs.filtered(inst.cut)
+            inst.rhs.filtered(inst.cut)
 
         def boom(self, other):
             raise AssertionError("a passing residual built a difference")
@@ -161,6 +158,50 @@ def test_passing_residual_is_read_off_equality(ws112, monkeypatch):
     # a failing instance still subtracts: eq3.21's pinned residual terms
     rep = run_one(ws112, "eq3.21")
     assert (rep.verdict, rep.residual_term_count) == ("fail", 40)
+
+
+def _label_fields(label):
+    """{"s": "0", "abcd": "1221", ...} from an instance label."""
+    return dict(part.split("=") for part in label.split())
+
+
+def test_brackets_take_the_workspace_operators_themselves(ws112):
+    # an operator is its own expression leaf: each bracket operand is the
+    # generator the workspace memoized, with no wrapper in between
+    ws = ws112
+    cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=0)
+    for inst in vf.CASES["eq3.17"].instances(ws, cfg):
+        kv = _label_fields(inst.label)
+        s, q = int(kv["s"]), int(kv["p"])
+        a, b, c, d = map(int, kv["abcd"])
+        assert inst.lhs.a is ws.loop_K(s, a, b)
+        assert inst.lhs.b is ws.loop_K(q, c, d)
+    for inst in vf.CASES["eq3.12"].instances(ws, cfg):
+        a, b, c, d, e, f = map(int, _label_fields(inst.label)["abcdef"])
+        first, second = inst.lhs.items[0], inst.lhs.items[1].inner
+        assert first.a is ws.loop_J(0, a, b)
+        assert first.b.a is ws.loop_J(1, c, d)
+        assert first.b.b is ws.loop_J(1, e, f)
+        assert second.a is ws.loop_J(1, a, b)
+        assert second.b.a is ws.loop_J(0, c, d)
+        assert second.b.b is ws.loop_J(1, e, f)
+    for inst in vf.CASES["eq3.35"].instances(ws, cfg):
+        kv = _label_fields(inst.label)
+        a, b = map(int, kv["ab"])
+        assert inst.lhs.a is ws.w_gen(int(kv["s"]), int(kv["p"]))
+        assert inst.lhs.b is ws.q_gen(int(kv["s'"]), int(kv["q"]), a, b)
+
+
+def test_one_zero_serves_zero_sides_and_passing_residuals(ws112):
+    zero = ws112.ctx.zero()
+    assert zero is ws112.ctx.zero() and zero.is_zero
+    cfg = vf.RunConfig(contexts=((1, 1, 2),))
+    with ws112.ctx.field.arithmetic_memo():
+        for inst in vf.CASES["eq3.17"].instances(ws112, cfg):
+            a, b, c, d = map(int, _label_fields(inst.label)["abcd"])
+            if b != c and d != a:
+                assert inst.rhs is zero
+            assert vf._residual(inst, None) is zero
 
 
 def test_structural_case_passes(ws112):
@@ -466,9 +507,9 @@ def test_oracle_rejects_a_wrong_truncated_residual(ws112):
     residual = vf._residual(inst, None)
     assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
     # the truncated residual of a top with one term dropped
-    top = inst.lhs.operator(inst.cut)
+    top = inst.lhs.filtered(inst.cut)
     dropped = OperatorSum(top.ctx, dict(list(top.terms.items())[1:]))
-    wrong = (dropped - inst.rhs.operator()).filtered(inst.cut)
+    wrong = (dropped - inst.rhs.filtered(0)).filtered(inst.cut)
     assert not wrong.is_zero
     agrees, note = vf._oracle_instance(ws112, cfg, inst, wrong)
     assert not agrees
@@ -623,25 +664,24 @@ def test_bracket_memo_leaves_verdicts_unchanged(monkeypatch):
 def test_add_subtracts_a_negated_summand(ws112):
     a = ws112.yangian_T(1, 1, 2)
     b = ws112.hamiltonian("sutherland")
-    neg_b = vf.Scale(vf.Leaf(b), -1)
-    assert vf.Add(vf.Leaf(a), neg_b).operator() == a - b
-    neg_a = vf.Scale(vf.Leaf(a), -1)
-    assert vf.Add(neg_a, vf.Leaf(b)).operator() == b - a
-    assert vf.Add(vf.Leaf(a), vf.Scale(vf.Leaf(b), Fraction(-1))).operator() \
-        == a - b
+    neg_b = vf.Scale(b, -1)
+    assert vf.Add(a, neg_b).filtered(0) == a - b
+    neg_a = vf.Scale(a, -1)
+    assert vf.Add(neg_a, b).filtered(0) == b - a
+    assert vf.Add(a, vf.Scale(b, Fraction(-1))).filtered(0) == a - b
 
 
 def test_residual_adds_a_negated_right_summand(ws112):
     a = ws112.yangian_T(1, 1, 2)
     b = ws112.yangian_T(1, 2, 1)
     h = ws112.hamiltonian("sutherland")
-    lhs = vf.Bracket(vf.Leaf(a), vf.Leaf(h))
-    neg_b = vf.Scale(vf.Leaf(b), -1)
+    lhs = vf.Bracket(a, h)
+    neg_b = vf.Scale(b, -1)
     for rhs, value in ((neg_b, -b),
-                       (vf.Add(neg_b, vf.Leaf(a)), a - b),
-                       (vf.Add(vf.Leaf(a), neg_b), a - b)):
+                       (vf.Add(neg_b, a), a - b),
+                       (vf.Add(a, neg_b), a - b)):
         inst = vf.Instance("signed", lhs, rhs)
-        full = lhs.operator() - value
+        full = lhs.filtered(0) - value
         assert vf._residual(inst, None) == full
         inst.cut = 1
         assert vf._residual(inst, None) == full.filtered(1)
