@@ -212,3 +212,22 @@ def test_criterion_10_mixed_tower_rule():
             want = bracket if factor else 0
             assert rep.residual_term_count == want, (cid, (n, m, N))
             assert (rep.verdict == "fail") == (want > 0), (cid, (n, m, N))
+
+
+SUPERDIMENSION_CONTEXTS = ((1, 1, 1), (2, 0, 1), (1, 1, 2), (2, 0, 2),
+                           (2, 1, 2), (0, 2, 2), (1, 2, 2), (2, 2, 2),
+                           (3, 0, 2), (0, 3, 2), (3, 1, 2), (1, 1, 3),
+                           (2, 1, 3), (1, 1, 4))
+
+
+def test_criterion_11_mixed_towers_hold_with_the_superdimension():
+    # with -(n - m) lam [J0^{ab}, J0^{cd}] in place of eq3.21's -lam, the
+    # mixed towers reproduce the trigonometric level 1 on every context,
+    # one color, m >= 2 and four sites included
+    reports, elapsed, cfg = _run(("eq3.21-sdim",), SUPERDIMENSION_CONTEXTS)
+    print(f"\n[acceptance] superdimension rule: {elapsed:.1f}s")
+    assert len(reports) == len(SUPERDIMENSION_CONTEXTS)
+    _assert_all_pass(reports, "eq3.21-sdim")
+    assert all(r.oracle_agrees for r in reports)
+    assert all(r.instances == (r.n + r.m) ** 4 for r in reports)
+    assert not compare_to_manifest(reports, cli.load_manifest(), cfg)

@@ -24,11 +24,12 @@ def run_one(ws, case_id, **kw):
 
 def test_catalog_names_and_suites():
     ids = tuple(vf.CASES)
-    assert len(ids) == len(set(ids)) == 32
+    assert len(ids) == len(set(ids)) == 33
     suites = {vf.CASES[c].suite for c in ids}
     assert suites == {"structural", "integrability", "yangian", "loop", "winf"}
-    for probe in ("eq2.7", "eq2.17-plain", "eq3.21-alt", "eq3.38",
-                  "supercommutation", "p-conjugation", "jp-conservation"):
+    for probe in ("eq2.7", "eq2.17-plain", "eq3.21-alt", "eq3.21-sdim",
+                  "eq3.38", "supercommutation", "p-conjugation",
+                  "jp-conservation"):
         assert probe in ids
 
 
@@ -109,8 +110,10 @@ def test_nested_bracket_apply_never_multiplies(ws112, monkeypatch):
 def test_signs_build_no_new_coefficients(monkeypatch):
     # eq3.17's loop brackets subtract and sign-flip the same few
     # coefficients thousands of times; with one shared negation per
-    # coefficient the verdict builds 168 functions and negates 76
-    # polynomials (6,588 and 6,409 when each sign built a new function;
+    # coefficient the verdict builds 159 functions and negates 66
+    # polynomials (168 and 76 when every color quad ran, not one per
+    # same-parity orbit, and the oracle picked instances by position, not
+    # by label; 6,588 and 6,409 when each sign built a new function;
     # 161 and 72 when the residual subtracted the right side summand by
     # summand instead of collapsing it first; 155 and 72 when each bracket
     # merged two finished products, before its polynomial brackets added
@@ -134,7 +137,7 @@ def test_signs_build_no_new_coefficients(monkeypatch):
     monkeypatch.setattr(scalar, "poly_neg", counted_neg)
     rep = run_one(ws, "eq3.17", max_spin=2, max_degree=0)
     assert rep.verdict == "pass" and rep.oracle_agrees
-    assert counts == {"init": 168, "poly_neg": 76}
+    assert counts == {"init": 159, "poly_neg": 66}
 
 
 def test_passing_residual_is_read_off_equality(ws112, monkeypatch):
@@ -266,7 +269,8 @@ def test_sextuple_sample_is_seeded():
     two = list(vf._sextuples(ws, cfg, "eq3.5"))
     assert one == two
     assert len(one) == vf.SEXTUPLE_SAMPLE
-    assert all(1 <= c <= 3 for tup in one for c in tup)
+    # the sampled sextuples stand for themselves alone
+    assert all(w == 1 and 1 <= c <= 3 for tup, w in one for c in tup)
     other = list(vf._sextuples(ws, vf.RunConfig(seed=8), "eq3.5"))
     assert one != other
 
@@ -689,17 +693,19 @@ def test_residual_adds_a_negated_right_summand(ws112):
 
 def test_tower_cases_are_slices_of_the_level_sums():
     # eq3.10 and eq3.11 are eq3.15 at (s, p) = (0, 1) and (1, 1): the same
-    # instances, label for label and residual for residual
+    # instances, label for label, weight for weight and residual for
+    # residual, one per color orbit, their weights covering every quad
     cfg = vf.RunConfig()
-    for context in ((1, 1, 2), (2, 1, 2)):
+    for context, orbits in (((1, 1, 2), 16), ((2, 1, 2), 41)):
         ws = ModelWorkspace(*context)
         sums = list(vf.CASES["eq3.15"].instances(ws, cfg))
         for case_id, prefix in (("eq3.10", "s=0 p=1 "), ("eq3.11", "s=1 p=1 ")):
             got = list(vf.CASES[case_id].instances(ws, cfg))
             want = [inst for inst in sums if inst.label.startswith(prefix)]
-            assert len(got) == len(want) == ws.dim ** 4
+            assert len(got) == len(want) == orbits
+            assert sum(g.weight for g in got) == ws.dim ** 4
             for g, w in zip(got, want):
-                assert g.label == w.label
+                assert g.label == w.label and g.weight == w.weight
                 assert vf._residual(g, None) == vf._residual(w, None)
 
 
