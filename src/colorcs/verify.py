@@ -90,13 +90,15 @@ only through equality and parity (a delta, a grading sign, a sum over
 all colors), so each builder at sigma.x is the relabelled builder at x,
 and the residual of an instance obeys R(sigma.x) = sigma.R(x): zero
 exactly when R(x) is, with the same term count.  So the pair, quad and
-exhaustive sextuple quantifiers run one representative per orbit of
-S_n x S_m, and an instance's ``weight`` is its orbit size: a report's
-``instances``, ``failed`` and ``residual_term_count`` sum weights, and
-equal those of the full quantifier.  Hence the rule for every case and
-builder: read a color only through equality and parity, never through
-its order or its value.  The oracle still applies full leaves to full
-probes; it checks representatives as it checks any instance.
+sextuple quantifiers run one representative per orbit of S_n x S_m, and
+an instance's ``weight`` is its orbit size: a report's ``instances``,
+``failed`` and ``residual_term_count`` sum weights, and equal those of
+the full quantifier.  At three or more colors only SEXTUPLE_SAMPLE
+sextuple representatives are checked, ranked like the oracle's picks,
+each of weight 1.  Hence the rule for every case and builder: read a
+color only through equality and parity, never through its order or its
+value.  The oracle still applies full leaves to full probes; it checks
+representatives as it checks any instance.
 """
 
 from __future__ import annotations
@@ -104,7 +106,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 import time
 import zlib
 
@@ -395,22 +396,24 @@ def _quads(ws):
     return _orbits(ws.n, ws.m, 4)
 
 
+def _seeded_lowest(ws, cfg, case_id, keys, k):
+    """Indices, ascending, of the k `keys` (bytes) ranked lowest by crc32
+    of "seed|case|n,m,N|" + key: dropping an unpicked key moves no pick."""
+    tag = zlib.crc32(f"{cfg.seed}|{case_id}|{ws.n},{ws.m},{ws.N}|".encode())
+    ranked = sorted(range(len(keys)), key=lambda i: zlib.crc32(keys[i], tag))
+    return sorted(ranked[:k])
+
+
 def _sextuples(ws, cfg, case_id):
-    """Color sextuples with their weights: one per orbit when there are
-    at most 2^6 sextuples, else SEXTUPLE_SAMPLE of them drawn by the seed,
-    each of weight 1."""
-    d = ws.dim
-    total = d ** 6
-    if total <= 2 ** 6:
-        yield from _orbits(ws.n, ws.m, 6)
-        return
-    rng = random.Random(f"{cfg.seed}|{case_id}|{ws.n},{ws.m},{ws.N}")
-    for idx in sorted(rng.sample(range(total), SEXTUPLE_SAMPLE)):
-        tup = []
-        for _ in range(6):
-            tup.append(idx % d + 1)
-            idx //= d
-        yield tuple(tup), 1
+    """Color sextuples with weights: one per orbit when there are at most
+    2^6 orbits (two colors), else the SEXTUPLE_SAMPLE `_seeded_lowest`
+    ranks lowest by bytes(tuple), in product order, each of weight 1."""
+    reps = _orbits(ws.n, ws.m, 6)
+    if len(reps) <= 2 ** 6:
+        return reps
+    keys = [bytes(tup) for tup, _ in reps]
+    return [(reps[i][0], 1)
+            for i in _seeded_lowest(ws, cfg, case_id, keys, SEXTUPLE_SAMPLE)]
 
 
 def _eta(ws, a, b, c, d):
@@ -968,14 +971,10 @@ def _oracle_instance(ws, cfg, inst, residual):
 
 
 def _oracle_picks(ws, cfg, case_id, instances):
-    """Indices of the instances the oracle checks: the ORACLE_INSTANCES
-    whose labels rank lowest under a hash of (seed, case, context,
-    label), in list order.  A pick depends on its own label only, so an
-    edit to one instance list moves only the picks it touches."""
-    tag = f"{cfg.seed}|{case_id}|{ws.n},{ws.m},{ws.N}|"
-    ranked = sorted(range(len(instances)), key=lambda i: zlib.crc32(
-        (tag + instances[i].label).encode()))
-    return sorted(ranked[:ORACLE_INSTANCES])
+    """Indices of the ORACLE_INSTANCES instances whose labels rank lowest
+    in `_seeded_lowest`, in list order."""
+    labels = [inst.label.encode() for inst in instances]
+    return _seeded_lowest(ws, cfg, case_id, labels, ORACLE_INSTANCES)
 
 
 def verify_case(ws: ModelWorkspace, case: CaseSpec, cfg: RunConfig) -> IdentityReport:

@@ -401,7 +401,7 @@ for workers, contexts in (("1", "1,1,2;2,0,2"), ("2", "1,1,2")):
     assert rc == 0, (workers, contexts, rc)
 unused = ("multiprocessing", "concurrent.futures.process", "dataclasses",
           "inspect", "typing", "fractions", "decimal", "numbers",
-          "importlib.resources", "zipfile", "tempfile")
+          "importlib.resources", "zipfile", "tempfile", "random")
 loaded = [m for m in unused if m in sys.modules]
 assert loaded == [], loaded
 """

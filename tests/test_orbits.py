@@ -1,6 +1,7 @@
 """Color quantifiers by orbit: the soundness of running one instance per
 orbit of the same-parity color permutations S_n x S_m (see the ``verify``
-module docstring), and the oracle's picks by label."""
+module docstring), and the seeded selections: the oracle's picks by label
+and the sampled sextuples by orbit representative."""
 
 import itertools
 
@@ -162,7 +163,8 @@ def test_orbit_reports_equal_full_reports(cases, context, monkeypatch):
 # -- the oracle's picks ---------------------------------------------------
 
 
-@pytest.mark.parametrize("context", [(1, 1, 1), (1, 1, 2), (2, 1, 2)])
+@pytest.mark.parametrize("context", [(1, 1, 1), (1, 1, 2), (2, 1, 2),
+                                     (1, 2, 2), (2, 2, 2)])
 def test_labels_are_unique_within_each_case(context):
     ws = ModelWorkspace(*context)
     cfg = vf.RunConfig(max_spin=2, max_degree=1)
@@ -203,3 +205,50 @@ def test_oracle_picks_follow_labels_not_positions():
     assert before["eq3.10"][0] not in after["eq3.10"]
     assert {cid: after[cid] for cid in ("eq3.1", "eq3.17")} == \
         {cid: before[cid] for cid in ("eq3.1", "eq3.17")}
+
+
+# -- the sampled sextuples ------------------------------------------------
+
+SERRE_CASES = ("eq3.5", "eq3.12", "eq3.18", "eq3.22", "eq3.23", "eq3.27")
+
+
+def canonical(tup, n):
+    """The representative of tup's orbit: the colors of each parity
+    renamed in order of first appearance (even from 1, odd from n + 1)."""
+    seen, nxt = {}, [1, n + 1]
+    for c in tup:
+        if c not in seen:
+            seen[c] = nxt[c > n]
+            nxt[c > n] += 1
+    return tuple(seen[c] for c in tup)
+
+
+@pytest.mark.parametrize("context",
+                         [(2, 1, 2), (1, 2, 2), (3, 0, 2), (2, 2, 2)])
+def test_sampled_sextuples_are_distinct_orbit_representatives(
+        context, monkeypatch):
+    ws = ModelWorkspace(*context)
+    reps = vf._orbits(ws.n, ws.m, 6)
+    assert len(reps) > 2 ** 6
+    for seed, cid in itertools.product((20257, 7), SERRE_CASES):
+        cfg = vf.RunConfig(seed=seed)
+        sample = list(vf._sextuples(ws, cfg, cid))
+        drawn = [tup for tup, _ in sample]
+        assert all(w == 1 for _, w in sample)
+        orbits = {canonical(tup, ws.n) for tup in drawn}
+        assert len(orbits) == len(drawn) == vf.SEXTUPLE_SAMPLE, (seed, cid)
+        assert orbits == set(drawn)  # each drawn as its representative
+        assert drawn == sorted(drawn)  # itertools.product order
+        # the draw follows keys, not positions: dropping an undrawn
+        # representative changes nothing, dropping a drawn one replaces it
+        for gone in (next(r for r in reps if r[0] not in drawn),
+                     next(r for r in reps if r[0] == drawn[0])):
+            with monkeypatch.context() as mp:
+                mp.setattr(vf, "_orbits", lambda n, m, k, gone=gone:
+                           tuple(r for r in reps if r != gone))
+                after = [tup for tup, _ in vf._sextuples(ws, cfg, cid)]
+            assert len(after) == vf.SEXTUPLE_SAMPLE
+            if gone[0] in drawn:
+                assert set(drawn[1:]) < set(after) and drawn[0] not in after
+            else:
+                assert after == drawn, (seed, cid)
