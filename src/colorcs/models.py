@@ -143,24 +143,21 @@ class ModelWorkspace:
     def hamiltonian(self, kind: str) -> OperatorSum:
         if kind not in _KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        ctx, f = self.ctx, self.ctx.field
-        lam = self._lam
+        ctx, lam = self.ctx, self._lam
         kinetic = ctx.zero()
-        pair = ctx.zero()
-        if kind == RATIONAL:
-            for i in range(1, self.N + 1):
+        for i in range(1, self.N + 1):
+            if kind == RATIONAL:
                 kinetic = kinetic + ctx.deriv(i, 2).scale(self._half)
-            for i, j in self._site_tuples(2):
-                w = f.omega(i, j)
-                pair = pair + self.swap(i, j).scale(w.d_dx(i))
-                pair = pair + ctx.scalar(lam * w * f.omega(j, i))
-        else:
-            for i in range(1, self.N + 1):
+            else:
                 xd = ctx.coord(i).mul(ctx.deriv(i))
                 kinetic = kinetic + xd.mul(xd).scale(self._half)
-            for i, j in self._site_tuples(2):
-                kern = (f.x(i) * f.x(j)) / ((f.x(i) - f.x(j)) * (f.x(j) - f.x(i)))
-                pair = pair + (self.swap(i, j) + ctx.scalar(lam)).scale(kern)
+        # (lam/2) sum_{i != j} (P_ij + lam) K_ij K_ji, with M's off-diagonal
+        # kernel product; for the rational kernel d_i omega_ij is
+        # omega_ij omega_ji
+        pair = ctx.zero()
+        for i, j in self._site_tuples(2):
+            kern = self._kernel(kind, i, j) * self._kernel(kind, j, i)
+            pair = pair + (self.swap(i, j) + ctx.scalar(lam)).scale(kern)
         return kinetic + pair.scale(lam * self._half)
 
     # -- Lax pairs ---------------------------------------------------------

@@ -138,7 +138,7 @@ from .errors import (
     ContextMismatchError,
     MixedParityError,
 )
-from .scalar import RationalFunction, ScalarField
+from .scalar import ScalarField
 
 _TERM_BUDGET: ContextVar = ContextVar("colorcs_term_budget", default=None)
 
@@ -184,18 +184,17 @@ class AlgebraContext:
             )
         return self._identity_terms
 
+    def _diagonal(self, f, p):
+        """f d^p on every diagonal word, with one coefficient f; at p = 0
+        this is multiplication by f (``OperatorSum._is_multiplication``)."""
+        return OperatorSum(self, {(key, p): f for key in self._diag_keys()})
+
     def scalar(self, value):
         """Multiplication operator by a coefficient function."""
-        f = self.field.const(value) if not isinstance(value, RationalFunction) \
-            else value
-        if f.field is not self.field:
-            raise ContextMismatchError("coefficient from another field")
+        f = self.field.const(value)
         if not f:
             return self.zero()
-        terms = {}
-        for key in self._diag_keys():
-            terms[(key, self.zero_deriv)] = f
-        return OperatorSum(self, terms)
+        return self._diagonal(f, self.zero_deriv)
 
     def coord(self, i: int):
         """Multiplication by x_i."""
@@ -209,16 +208,11 @@ class AlgebraContext:
             raise ValueError("derivative order must be nonnegative")
         p = list(self.zero_deriv)
         p[i - 1] = order
-        p = tuple(p)
-        terms = {}
-        for key in self._diag_keys():
-            terms[(key, p)] = self.field.one
-        return OperatorSum(self, terms)
+        return self._diagonal(self.field.one, tuple(p))
 
     def from_units(self, units, coeff=1, deriv=None):
         """Operator from a product of units, leftmost factor first."""
-        f = coeff if isinstance(coeff, RationalFunction) else \
-            self.field.const(coeff)
+        f = self.field.const(coeff)
         p = self.zero_deriv if deriv is None else tuple(deriv)
         if len(p) != self.N or any(k < 0 for k in p):
             raise ValueError("bad derivative tuple")
@@ -364,25 +358,24 @@ class OperatorSum:
         return OperatorSum(self.ctx, out)
 
     def scale(self, value):
-        """Left multiplication by a coefficient (commutes past nothing)."""
+        """Left multiplication by a coefficient (commutes past nothing).
+
+        An int other than 1 and -1 multiplies each coefficient as it is,
+        so it reaches ``RationalFunction._scale_int``; any other value
+        becomes a coefficient through ``ScalarField.const``, which raises
+        ``ContextMismatchError`` for a function of another field."""
         if isinstance(value, int):
             if value == 1:
                 return self
             if value == -1:
                 return -self
-            if value == 0:
-                return self.ctx.zero()
-            out = {}
-            for k, f in self.terms.items():
-                out[k] = f._scale_int(value)
-            return OperatorSum(self.ctx, out)
-        f = value if isinstance(value, RationalFunction) else \
-            self.ctx.field.const(value)
-        if not f:
+        else:
+            value = self.ctx.field.const(value)
+        if not value:
             return self.ctx.zero()
         out = {}
         for k, g in self.terms.items():
-            out[k] = f * g
+            out[k] = g * value
         return OperatorSum(self.ctx, out)
 
     # -- multiplication ------------------------------------------------------
@@ -455,8 +448,8 @@ class OperatorSum:
 
     def _is_multiplication(self):
         """Whether this is multiplication by one coefficient, the shape
-        ``AlgebraContext.scalar`` builds: every diagonal word at
-        derivative order zero, all with the same coefficient."""
+        ``AlgebraContext._diagonal`` builds at p = 0: every diagonal word
+        at derivative order zero, all with the same coefficient."""
         ctx = self.ctx
         terms = self.terms
         diag = ctx._diag_keys()

@@ -13,7 +13,14 @@ Structural equality of canonical pairs is then mathematical equality, which
 is what the rest of the package leans on.  A constant is an integer pair
 like any other, ({0: p}, {0: q}), built by ``ScalarField.const`` from two
 integers or from an int, Fraction or float through its integer ratio, so
-the field needs no rational type of its own.  A new numerator is reduced at
+the field needs no rational type of its own.  ``const`` is also the one
+door by which an outside value becomes a coefficient: the operator
+constructors (``AlgebraContext.scalar``, ``from_units`` and ``unit``),
+``OperatorSum.scale`` and ``substitute`` all go through it, so a function
+of this field passes unchanged and one of another field raises
+``ContextMismatchError`` there, at its cause.  Arithmetic operands coerce
+apart from it, through ``_coerce`` (below), which refuses floats.  A new
+numerator is reduced at
 one seam, ``ScalarField._cancel``, against the one factor of its
 denominator that can share a prime with it: in a sum the gcd of the two
 denominators, in a derivative gcd(den, d den) (the whole denominator
@@ -566,9 +573,7 @@ class RationalFunction:
         f = self.field
         if not 0 <= slot < f.nvars:
             raise ValueError(f"slot {slot} out of range 0..{f.nvars - 1}")
-        r = value if isinstance(value, RationalFunction) else f.const(value)
-        if r.field is not f:
-            raise ContextMismatchError("substitution value from another field")
+        r = f.const(value)
         if not self.num:
             return self
         sh = f.shifts[slot]

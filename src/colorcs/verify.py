@@ -78,6 +78,10 @@ term's derivative degree is the total degree of the t exponents it
 reaches, so the terms of lhs - rhs at degree >= d act on a probe as
 exactly the components of the compositional action at t-degree >= d:
 the probes read a leading-order top off without the full product.
+A state holds no zero amplitude: every step that makes one drops it
+(``operators._bump``, ``Scale``, the oracle's cut and coupling), so a
+state is zero exactly when it is empty.  No node writes into a state
+another node returned; ``Add`` sums into a dict of its own.
 
 Why one instance per color orbit suffices: let sigma permute the even
 colors 1..n among themselves and the odd colors n+1..n+m among
@@ -204,7 +208,8 @@ class Add(Expr):
     def apply_to(self, state):
         out = {}
         for it in self.items:
-            out = _state_add(out, it.apply_to(state), 1)
+            for st, amp in it.apply_to(state).items():
+                _bump(out, st, amp, False)
         return out
 
 
@@ -237,10 +242,6 @@ def _state_add(s1, s2, sign: int):
     for st, amp in s2.items():
         _bump(out, st, amp, subtract)
     return out
-
-
-def _state_is_zero(state) -> bool:
-    return all(not amp for amp in state.values())
 
 
 # -- instances and cases ------------------------------------------------------
@@ -961,9 +962,9 @@ def _oracle_instance(ws, cfg, inst, residual):
             composed = {st: g for st, amp in composed.items()
                         if (g := amp.substitute_lambda(cfg.lam))}
         direct = residual.apply_to(psi)
-        if not _state_is_zero(_state_add(composed, direct, -1)):
+        if _state_add(composed, direct, -1):
             return False, "action path disagrees with the product path"
-        if not _state_is_zero(composed):
+        if composed:
             action_zero = False
     if action_zero != residual.is_zero:
         return False, "action verdict disagrees with the symbolic verdict"

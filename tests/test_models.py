@@ -44,6 +44,17 @@ def test_trig_hamiltonian_free_limit(ws112):
     assert ws.hamiltonian(TRIG).substitute_lambda(0) == free
 
 
+def test_rational_hamiltonian_is_half_the_summed_lax_square():
+    # H = 1/2 sum_ij (L^2)_ij relates the Hamiltonian's pair kernels to
+    # the separately built Lax matrix; the trigonometric H differs from
+    # its 1/2 sum (L^2)_ij by first-order terms
+    for triple in ((1, 1, 1), (2, 0, 1), (2, 0, 2), (1, 1, 2), (2, 1, 2),
+                   (0, 2, 2), (1, 1, 3)):
+        ws = ModelWorkspace(*triple)
+        half = ws.ctx.field.const(1, 2)
+        assert ws.hamiltonian(RATIONAL) == ws.j_scalar(2).scale(half), triple
+
+
 def test_hamiltonians_symmetric_under_site_swap(ws112):
     p12 = ws112.ctx.swap(1, 2)
     for kind in (RATIONAL, TRIG):

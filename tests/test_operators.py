@@ -12,7 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from colorcs.errors import CapExceededError, MixedParityError
+from colorcs.errors import (
+    CapExceededError,
+    ContextMismatchError,
+    MixedParityError,
+)
 from colorcs.operators import AlgebraContext, OperatorSum, term_budget
 from colorcs.scalar import RationalFunction
 
@@ -95,6 +99,27 @@ def test_conjugation_by_function(A11):
     got = A11.scalar(finv).mul(A11.deriv(1)).mul(A11.scalar(f))
     expect = A11.deriv(1) + A11.scalar(f.d_dx(1) / f)
     assert got == expect
+
+
+def test_every_coefficient_door_refuses_another_field(A11):
+    # constructors, scale and substitute all coerce through
+    # ScalarField.const, so a function of another field never enters an
+    # operator, zero included
+    other = AlgebraContext(1, 1, 2).field
+    for g in (other.x(1), other.one, other.zero):
+        with pytest.raises(ContextMismatchError):
+            A11.from_units([(1, 1, 2)], coeff=g)
+        with pytest.raises(ContextMismatchError):
+            A11.unit(1, 1, 2, coeff=g)
+        with pytest.raises(ContextMismatchError):
+            A11.scalar(g)
+        with pytest.raises(ContextMismatchError):
+            A11.coord(1).scale(g)
+        with pytest.raises(ContextMismatchError):
+            A11.field.x(2).substitute(0, g)
+    f = A11.field
+    assert A11.unit(1, 1, 2, coeff=f.x(1)) == A11.unit(1, 1, 2).scale(f.x(1))
+    assert A11.unit(1, 1, 2, coeff=0) == A11.zero()
 
 
 def test_swap_squares_to_identity(A11):
