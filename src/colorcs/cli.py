@@ -9,7 +9,8 @@ module, a plain file path that needs no ``importlib.resources``.
 
 Exit codes: 0 every selected case matched the expected manifest;
 1 at least one deviation (with a diff summary); 2 usage error;
-3 a term budget was exceeded (the offending cases are named).
+3 a term budget was exceeded (the offending cases, or the operator
+--print-operator builds, are named).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from contextlib import nullcontext
 
 from .errors import CapExceededError, PoleError, UnknownNameError
 from .models import ModelWorkspace
+from .operators import term_budget
 from .verify import (
     CASES,
     DEFAULT_CONTEXTS,
@@ -173,16 +175,20 @@ def load_manifest(path=None):
 def _print_operator(args, context, lam, parser, out):
     ws = ModelWorkspace(*context)
     try:
-        with ws.ctx.field.arithmetic_memo():
+        with term_budget(args.term_budget), ws.ctx.field.arithmetic_memo():
             op = ws.build(args.print_operator)
             if lam is not None:
                 op = op.substitute_lambda(lam)
+    except CapExceededError:
+        print(f"term budget exceeded in: {args.print_operator}",
+              file=sys.stderr)
+        return EXIT_CAP
     except UnknownNameError as exc:
         # a KeyError's str() quotes its message
         parser.error(exc.args[0])
     except PoleError as exc:
         parser.error(f"{args.print_operator!r} at --lambda {lam}: {exc}")
-    except (ValueError, CapExceededError) as exc:
+    except ValueError as exc:
         parser.error(f"cannot build {args.print_operator!r}: {exc}")
     out.write(op.to_str() + "\n")
     return EXIT_OK

@@ -229,6 +229,10 @@ class ModelWorkspace:
             op = op + (r if pair is None else self.unit(i, *pair).mul(r))
         return op
 
+    def _deriv_at(self, i: int, k: int) -> tuple:
+        """Derivative tuple of order k at site i and 0 at every other."""
+        return tuple(k if s == i else 0 for s in range(1, self.N + 1))
+
     def _power_sum(self, k: int, d: int, pair=None,
                    sign: int = 1) -> OperatorSum:
         """sum_i (sign x_i)^k d_i^d, dressed like ``_site_sum``; each
@@ -236,11 +240,10 @@ class ModelWorkspace:
         f = self.ctx.field
 
         def term(i):
-            dv = [0] * self.N
-            dv[i - 1] = d
             return self.ctx.from_units(
                 [] if pair is None else [(i, *pair)],
-                coeff=f.monomial({i - 1: k}, sign ** k), deriv=dv)
+                coeff=f.monomial({i - 1: k}, sign ** k),
+                deriv=self._deriv_at(i, d))
 
         return self._site_sum(term)
 
@@ -374,103 +377,65 @@ class ModelWorkspace:
         t0cb = self.yangian_T(0, c, b)
         return (t0ad.mul(t1cb) - t1ad.mul(t0cb)).scale(-self._beta_sign(b, c, d))
 
-    def _mixed_core(self, a, b, c, d, deriv_part, kern2, kern3, kern_tail):
-        """Shared shape of the three graded defect tensors.
-
-        deriv_part(i, j) supplies the two-site operator factor, a memoized
-        builder: it is color-blind, so every color quad shares it.  kern2
-        and kern3 supply the coefficient functions of the two triple sums,
-        and kern_tail(i, j) that of the unsigned two-site tail
-        e(i,a,b) e(j,c,d).
-        """
-        ctx = self.ctx
+    @_memoized
+    def _j_block(self, a: int, b: int, c: int, d: int) -> OperatorSum:
+        """T1's Serre cross term with J1: beta times the core on
+        e(i,a,d) e(j,c,b) (d_i - d_j) and the triple sums with kernels
+        lam/(x_i - x_j) and lam/(x_j - x_k), plus the unsigned tail
+        e(i,a,b) e(j,c,d) 2 lam/(x_i - x_j)."""
+        ctx, f = self.ctx, self.ctx.field
+        lam = self._lam
         core = ctx.zero()
         tail = ctx.zero()
         for i, j in self._site_tuples(2):
-            word = ctx.from_units([(i, a, d), (j, c, b)])
-            core = core + word.mul(deriv_part(i, j))
-            tail = tail + ctx.from_units([(i, a, b), (j, c, d)]) \
-                .scale(kern_tail(i, j))
+            word = [(i, a, d), (j, c, b)]
+            core = core + ctx.from_units(word, deriv=self._deriv_at(i, 1)) \
+                - ctx.from_units(word, deriv=self._deriv_at(j, 1))
+            tail = tail + ctx.from_units([(i, a, b), (j, c, d)],
+                                         coeff=2 * lam / (f.x(i) - f.x(j)))
         for i, j, k in self._site_tuples(3):
             core = core + self.contracted_pair(i, j, a, d) \
-                .mul(self.unit(k, c, b)).scale(kern2(i, j, k))
+                .mul(self.unit(k, c, b)).scale(lam / (f.x(i) - f.x(j)))
             core = core - self.unit(i, a, d) \
-                .mul(self.contracted_pair(j, k, c, b)).scale(kern3(i, j, k))
+                .mul(self.contracted_pair(j, k, c, b)) \
+                .scale(lam / (f.x(j) - f.x(k)))
         return core.scale(self._beta_sign(b, c, d)) + tail
 
     @_memoized
-    def _m_deriv(self, i: int, j: int) -> OperatorSum:
-        """(x_i + 1) d_i - (x_j + 1) d_j, tensor_M's two-site factor."""
-        ctx = self.ctx
-        return (ctx.coord(i) + ctx.identity()).mul(ctx.deriv(i)) \
-            - (ctx.coord(j) + ctx.identity()).mul(ctx.deriv(j))
-
-    @_memoized
-    def _n_deriv(self, i: int, j: int) -> OperatorSum:
-        """x_i d_i - x_j d_j + (x_i - x_j), tensor_N's two-site factor."""
+    def _k_block(self, a: int, b: int, c: int, d: int) -> OperatorSum:
+        """T1's Serre cross term with K1:
+        beta sum_{i != j} e(i,a,d) e(j,c,b) (x_i - x_j)."""
         ctx, f = self.ctx, self.ctx.field
-        return ctx.coord(i).mul(ctx.deriv(i)) \
-            - ctx.coord(j).mul(ctx.deriv(j)) \
-            + ctx.scalar(f.x(i) - f.x(j))
-
-    @_memoized
-    def _p_deriv(self, i: int, j: int) -> OperatorSum:
-        """d_i - d_j, tensor_P's two-site factor."""
-        return self.ctx.deriv(i) - self.ctx.deriv(j)
+        beta = self._beta_sign(b, c, d)
+        return sum((ctx.from_units([(i, a, d), (j, c, b)],
+                                   coeff=beta * (f.x(i) - f.x(j)))
+                    for i, j in self._site_tuples(2)), ctx.zero())
 
     @_memoized
     def tensor_M(self, a: int, b: int, c: int, d: int) -> OperatorSum:
-        """Defect tensor of the Serre test run on J1 + T1."""
-        f = self.ctx.field
-        lam = self._lam
-        return self._mixed_core(
-            a, b, c, d, self._m_deriv,
-            lambda i, j, k: lam * (f.x(i) + 1) / (f.x(i) - f.x(j)),
-            lambda i, j, k: lam * (f.x(j) + 1) / (f.x(j) - f.x(k)),
-            lambda i, j: lam * (f.x(i) + f.x(j) + 2) / (f.x(i) - f.x(j)),
-        )
+        """Defect tensor of the Serre test run on J1 + T1 (eq3.22):
+        tensor_O plus the J block.  The Serre form is quadratic in the
+        level-1 generator, and eq3.12 removes J1's self-term."""
+        return self.tensor_O(a, b, c, d) + self._j_block(a, b, c, d)
 
     @_memoized
     def tensor_N(self, a: int, b: int, c: int, d: int) -> OperatorSum:
-        """Defect tensor of the Serre test run on K1 + T1.
-
-        Every x-dependent slot mirrors the K1 + T1 diagonal x(1 + d/dx):
-        the two-site block carries x d/dx differences plus a linear drift,
-        the triple kernels are x_i/(x_i - x_j), and the trailing two-site
-        sum carries (x_i + x_j)/(x_i - x_j).
-        """
-        f = self.ctx.field
-        lam = self._lam
-        return self._mixed_core(
-            a, b, c, d, self._n_deriv,
-            lambda i, j, k: lam * f.x(i) / (f.x(i) - f.x(j)),
-            lambda i, j, k: lam * f.x(j) / (f.x(j) - f.x(k)),
-            lambda i, j: lam * (f.x(i) + f.x(j)) / (f.x(i) - f.x(j)),
-        )
+        """Defect tensor of the Serre test run on K1 + T1 (eq3.23):
+        tensor_O plus the K block.  The Serre form is quadratic in the
+        level-1 generator, and eq3.18 removes K1's self-term."""
+        return self.tensor_O(a, b, c, d) + self._k_block(a, b, c, d)
 
     @_memoized
     def tensor_P(self, a: int, b: int, c: int, d: int) -> OperatorSum:
-        """Defect tensor for the two-parameter family T1 + x J1 + y K1.
-
-        At x = y = 0 it reduces to tensor_O.  The x block mirrors the J1
-        diagonal (bare derivative differences, coupling-weighted kernels);
-        the y block is the commutator remnant linear in x_i - x_j.
-        """
-        ctx, f = self.ctx, self.ctx.field
-        lam = self._lam
-        xblock = self._mixed_core(
-            a, b, c, d, self._p_deriv,
-            lambda i, j, k: lam / (f.x(i) - f.x(j)),
-            lambda i, j, k: lam / (f.x(j) - f.x(k)),
-            lambda i, j: (lam + lam) / (f.x(i) - f.x(j)),
-        )
-        ytail = ctx.zero()
-        for i, j in self._site_tuples(2):
-            ytail = ytail + ctx.from_units([(i, a, d), (j, c, b)]) \
-                .scale(f.x(i) - f.x(j))
+        """Defect tensor for the two-parameter family T1 + x J1 + y K1
+        (eq3.27): tensor_O + x (J block) + y (K block).  The Serre form
+        is quadratic in the level-1 generator; eq3.12 and eq3.18 remove
+        the x^2 and y^2 self-terms, and it has no xy term because the
+        J1-K1 cross term vanishes, which eq3.27 checks."""
+        f = self.ctx.field
         return self.tensor_O(a, b, c, d) \
-            + xblock.scale(f.aux_x) \
-            + ytail.scale(self._beta_sign(b, c, d)).scale(f.aux_y)
+            + self._j_block(a, b, c, d).scale(f.aux_x) \
+            + self._k_block(a, b, c, d).scale(f.aux_y)
 
     @_memoized
     def q1_family(self, a: int, b: int) -> OperatorSum:

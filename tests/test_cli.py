@@ -82,6 +82,15 @@ def test_print_operator(capsys):
         assert out == ws.build("T[1,1,2]").to_str() + "\n"
 
 
+def test_print_operator_keeps_to_the_term_budget(capsys):
+    rc = cli.main(["--print-operator", "T[1,1,2]", "--contexts", "1,1,2",
+                   "--term-budget", "3"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "T[1,1,2]" in captured.err and "budget" in captured.err
+
+
 def test_print_operator_at_a_numeric_coupling(capsys):
     rc = cli.main(["--print-operator", "H_c", "--contexts", "1,1,2",
                    "--lambda", "3/2"])

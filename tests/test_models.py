@@ -224,16 +224,17 @@ def test_defect_tensors_have_homogeneous_parity(ws112):
                             + ws.parity(c) + ws.parity(d)) % 2
                     for op in (ws.tensor_O(a, b, c, d),
                                ws.tensor_M(a, b, c, d),
-                               ws.tensor_N(a, b, c, d)):
+                               ws.tensor_N(a, b, c, d),
+                               ws.tensor_P(a, b, c, d)):
                         if op.is_zero:
                             continue
                         assert op.parity() == want
 
 
 def test_defect_tensors_build_their_two_site_factors_once(monkeypatch):
-    # a graded defect tensor's factor deriv_part(i, j) is color-blind, so a
-    # second color quad builds no coordinate, derivative or multiplication
-    # operator for it
+    # the shifted tensors' blocks are built from color words, each two-site
+    # word with its derivative, so a second color quad builds no
+    # coordinate, derivative or multiplication operator
     from colorcs.operators import AlgebraContext
 
     ws = ModelWorkspace(1, 1, 3)
@@ -263,9 +264,12 @@ def test_two_parameter_tensor_restricts_to_plain_one(ws112):
             for c in ws.colors():
                 for d in ws.colors():
                     pt = ws.tensor_P(a, b, c, d)
-                    fixed = pt.substitute_parameter("x", 0) \
-                        .substitute_parameter("y", 0)
-                    assert fixed == ws.tensor_O(a, b, c, d)
+                    for x, y, plain in ((0, 0, ws.tensor_O),
+                                        (1, 0, ws.tensor_M),
+                                        (0, 1, ws.tensor_N)):
+                        fixed = pt.substitute_parameter("x", x) \
+                            .substitute_parameter("y", y)
+                        assert fixed == plain(a, b, c, d)
 
 
 def _spin_recursion(ws):
@@ -411,9 +415,8 @@ _MEMOIZED = {
     "j0_squared": (1, 2),
     "t2_explicit": (1, 2),
     "tensor_O": (1, 2, 2, 1),
-    "_m_deriv": (1, 2),
-    "_n_deriv": (2, 1),
-    "_p_deriv": (1, 2),
+    "_j_block": (1, 2, 2, 1),
+    "_k_block": (2, 1, 1, 2),
     "tensor_M": (1, 2, 2, 1),
     "tensor_N": (2, 1, 1, 2),
     "tensor_P": (1, 1, 2, 2),
