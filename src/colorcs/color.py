@@ -64,6 +64,13 @@ class GradingContext:
             raise ValueError(f"color {a} out of range 1..{self.dim}")
         return self._par[a]
 
+    def e2_sign(self, a: int, b: int, c: int) -> int:
+        """(-1)^(p(a)p(b) + p(b)p(c) + p(a)p(c)), the sign of the Yangian
+        structure constants: the exponent is the second elementary
+        symmetric polynomial of the three parities."""
+        pa, pb, pc = self.parity(a), self.parity(b), self.parity(c)
+        return -1 if (pa * pb + pb * pc + pa * pc) % 2 else 1
+
     def basis_states(self):
         """All color basis states, lexicographic."""
         return product(self.colors, repeat=self.N)

@@ -84,8 +84,10 @@ def _memoized(build):
     a build with a derivative cut under (name, args, cut).
 
     A cut of 0 or less keeps every term: it is the full build, under the
-    full build's key.  The builder runs, argument checks included, before
-    anything is stored, so a builder that raises leaves no entry."""
+    full build's key.  The key is the positional arguments as passed, so a
+    builder defaults no parameter but ``cut``: a default would give one
+    operator two entries.  The builder runs, argument checks included,
+    before anything is stored, so a builder that raises leaves no entry."""
     name = build.__name__
 
     @functools.wraps(build)
@@ -257,7 +259,7 @@ class ModelWorkspace:
         return self._site_sum(lambda i: self._row_sum(TRIG, p, i), (a, b))
 
     @_memoized
-    def t_minus1(self, a: int, b: int, graded: bool = True) -> OperatorSum:
+    def t_minus1(self, a: int, b: int, graded: bool) -> OperatorSum:
         """Formal level -1 generator: a multiple of delta_ab / lambda.
 
         The graded variant carries an extra sign (-1)^p(a); the plain
@@ -363,11 +365,6 @@ class ModelWorkspace:
 
     # -- Serre defect tensors -----------------------------------------------
 
-    def _beta_sign(self, b: int, c: int, d: int) -> int:
-        pb, pc, pd = self.parity(b), self.parity(c), self.parity(d)
-        beta = pb * pc + pc * pd + pb * pd
-        return -1 if beta % 2 else 1
-
     @_memoized
     def tensor_O(self, a: int, b: int, c: int, d: int) -> OperatorSum:
         """Defect of the double T-bracket: an antisymmetrized T0 T1 product."""
@@ -375,7 +372,8 @@ class ModelWorkspace:
         t1cb = self.yangian_T(1, c, b)
         t1ad = self.yangian_T(1, a, d)
         t0cb = self.yangian_T(0, c, b)
-        return (t0ad.mul(t1cb) - t1ad.mul(t0cb)).scale(-self._beta_sign(b, c, d))
+        beta = self.ctx.grading.e2_sign(b, c, d)
+        return (t0ad.mul(t1cb) - t1ad.mul(t0cb)).scale(-beta)
 
     @_memoized
     def _j_block(self, a: int, b: int, c: int, d: int) -> OperatorSum:
@@ -399,51 +397,44 @@ class ModelWorkspace:
             core = core - self.unit(i, a, d) \
                 .mul(self.contracted_pair(j, k, c, b)) \
                 .scale(lam / (f.x(j) - f.x(k)))
-        return core.scale(self._beta_sign(b, c, d)) + tail
+        return core.scale(ctx.grading.e2_sign(b, c, d)) + tail
 
     @_memoized
     def _k_block(self, a: int, b: int, c: int, d: int) -> OperatorSum:
         """T1's Serre cross term with K1:
         beta sum_{i != j} e(i,a,d) e(j,c,b) (x_i - x_j)."""
         ctx, f = self.ctx, self.ctx.field
-        beta = self._beta_sign(b, c, d)
+        beta = ctx.grading.e2_sign(b, c, d)
         return sum((ctx.from_units([(i, a, d), (j, c, b)],
                                    coeff=beta * (f.x(i) - f.x(j)))
                     for i, j in self._site_tuples(2)), ctx.zero())
 
     @_memoized
-    def tensor_M(self, a: int, b: int, c: int, d: int) -> OperatorSum:
-        """Defect tensor of the Serre test run on J1 + T1 (eq3.22):
-        tensor_O plus the J block.  The Serre form is quadratic in the
-        level-1 generator, and eq3.12 removes J1's self-term."""
-        return self.tensor_O(a, b, c, d) + self._j_block(a, b, c, d)
+    def tensor_P(self, a: int, b: int, c: int, d: int, x, y) -> OperatorSum:
+        """Defect tensor of the Serre test run on ``q1_family`` at the
+        shift (x, y): tensor_O + x (J block) + y (K block), a block added
+        only where its shift is nonzero.  eq3.22 runs it at (1, 0), eq3.23
+        at (0, 1) and eq3.27 at the field's symbolic (x, y).  The Serre
+        form is quadratic in the level-1 generator; eq3.12 and eq3.18
+        remove the x^2 and y^2 self-terms, and it has no xy term because
+        the J1-K1 cross term vanishes, which eq3.27 checks."""
+        op = self.tensor_O(a, b, c, d)
+        if x:
+            op = op + self._j_block(a, b, c, d).scale(x)
+        if y:
+            op = op + self._k_block(a, b, c, d).scale(y)
+        return op
 
     @_memoized
-    def tensor_N(self, a: int, b: int, c: int, d: int) -> OperatorSum:
-        """Defect tensor of the Serre test run on K1 + T1 (eq3.23):
-        tensor_O plus the K block.  The Serre form is quadratic in the
-        level-1 generator, and eq3.18 removes K1's self-term."""
-        return self.tensor_O(a, b, c, d) + self._k_block(a, b, c, d)
-
-    @_memoized
-    def tensor_P(self, a: int, b: int, c: int, d: int) -> OperatorSum:
-        """Defect tensor for the two-parameter family T1 + x J1 + y K1
-        (eq3.27): tensor_O + x (J block) + y (K block).  The Serre form
-        is quadratic in the level-1 generator; eq3.12 and eq3.18 remove
-        the x^2 and y^2 self-terms, and it has no xy term because the
-        J1-K1 cross term vanishes, which eq3.27 checks."""
-        f = self.ctx.field
-        return self.tensor_O(a, b, c, d) \
-            + self._j_block(a, b, c, d).scale(f.aux_x) \
-            + self._k_block(a, b, c, d).scale(f.aux_y)
-
-    @_memoized
-    def q1_family(self, a: int, b: int) -> OperatorSum:
-        """T1 + x J1 + y K1 with the two formal parameters left symbolic."""
-        f = self.ctx.field
-        return self.yangian_T(1, a, b) \
-            + self.loop_J(1, a, b).scale(f.aux_x) \
-            + self.loop_K(1, a, b).scale(f.aux_y)
+    def q1_family(self, a: int, b: int, x, y) -> OperatorSum:
+        """T1 + x J1 + y K1, a tower added only where its shift is
+        nonzero; x and y are numbers or the field's symbolic parameters."""
+        op = self.yangian_T(1, a, b)
+        if x:
+            op = op + self.loop_J(1, a, b).scale(x)
+        if y:
+            op = op + self.loop_K(1, a, b).scale(y)
+        return op
 
     # -- higher-spin family -----------------------------------------------
 
@@ -539,6 +530,7 @@ class ModelWorkspace:
                     raise UnknownNameError(
                         f"bad argument {piece!r} in operator name {name!r}")
                 args.append(int(piece))
+        xy = (self.ctx.field.aux_x, self.ctx.field.aux_y)
         table = {
             "H_c": (0, lambda: self.hamiltonian(RATIONAL)),
             "H_s": (0, lambda: self.hamiltonian(TRIG)),
@@ -553,10 +545,10 @@ class ModelWorkspace:
             "K": (3, self.loop_K),
             "Js": (1, self.j_scalar),
             "O": (4, self.tensor_O),
-            "Mt": (4, self.tensor_M),
-            "Nt": (4, self.tensor_N),
-            "Pt": (4, self.tensor_P),
-            "Q1": (2, self.q1_family),
+            "Mt": (4, lambda a, b, c, d: self.tensor_P(a, b, c, d, 1, 0)),
+            "Nt": (4, lambda a, b, c, d: self.tensor_P(a, b, c, d, 0, 1)),
+            "Pt": (4, lambda a, b, c, d: self.tensor_P(a, b, c, d, *xy)),
+            "Q1": (2, lambda a, b: self.q1_family(a, b, *xy)),
             "W": (2, self.w_gen),
             "Q": (4, self.q_gen),
             "Q0": (4, self.q_free),

@@ -435,10 +435,9 @@ def _loop_rhs(ws, G, level, a, b, c, d):
 
 def _serre_rhs(ws, tensor, a, b, c, d, e, f):
     """The six-delta combination shared by the mixed Serre identities."""
-    p = ws.parity
-    eta = ((p(a) + p(b)) * (p(c) + p(d))) % 2
-    delta = ((p(c) + p(d)) * (p(e) + p(f))) % 2
-    gamma = ((p(a) + p(b)) * (p(c) + p(d) + p(e) + p(f))) % 2
+    eta = _eta(ws, a, b, c, d)
+    delta = _eta(ws, c, d, e, f)
+    gamma = (eta + _eta(ws, a, b, e, f)) % 2
     items = []
     if b == c:
         items.append(tensor(a, d, e, f))
@@ -461,17 +460,18 @@ def _serre_case(case_id, base0, base1, tensor=None):
     """[A0^{ab}, [A1^{cd}, A1^{ef}}} - [A1^{ab}, [A0^{cd}, A1^{ef}}} over
     the sampled sextuples, where base0(ws, a, b) and base1(ws, a, b) give
     A0^{ab} and A1^{ab}; the right side is zero, or the six-delta
-    combination of the workspace's defect tensor named `tensor`."""
+    combination of the defect tensor tensor(ws, a, b, c, d)."""
 
     def gen(ws, cfg):
+        T = None if tensor is None else functools.partial(tensor, ws)
         for (a, b, c, d, e, f), w in _sextuples(ws, cfg, case_id):
             first = Bracket(base0(ws, a, b),
                             Bracket(base1(ws, c, d), base1(ws, e, f)))
             second = Bracket(base1(ws, a, b),
                              Bracket(base0(ws, c, d), base1(ws, e, f)))
             lhs = Add(first, Scale(second, -1))
-            rhs = ws.ctx.zero() if tensor is None else \
-                _serre_rhs(ws, getattr(ws, tensor), a, b, c, d, e, f)
+            rhs = ws.ctx.zero() if T is None else \
+                _serre_rhs(ws, T, a, b, c, d, e, f)
             yield Instance(f"abcdef={a}{b}{c}{d}{e}{f}", lhs, rhs, weight=w)
 
     return gen
@@ -482,10 +482,13 @@ def _level(gen_name, level):
     return lambda ws, a, b: getattr(ws, gen_name)(level, a, b)
 
 
-def _shifted(gen_name):
-    """A Serre base: level 1 of `gen_name` plus the Yangian level 1."""
-    return lambda ws, a, b: Add(getattr(ws, gen_name)(1, a, b),
-                                ws.yangian_T(1, a, b))
+def _shifted_serre_case(case_id, shift):
+    """The Serre test on J0 and the family T1 + x J1 + y K1 against its
+    defect tensor, both at the shift (x, y) = shift(field)."""
+    return _serre_case(
+        case_id, _level("loop_J", 0),
+        lambda ws, a, b: ws.q1_family(a, b, *shift(ws.ctx.field)),
+        lambda ws, *abcd: ws.tensor_P(*abcd, *shift(ws.ctx.field)))
 
 
 # -- the case catalog ---------------------------------------------------------
@@ -583,7 +586,7 @@ def _yangian_defining(graded_unit: bool):
                 return ws.t_minus1(a, b, graded_unit)
             return ws.yangian_T(level, a, b)
 
-        p = ws.parity
+        e2_sign = ws.ctx.grading.e2_sign
         for s in (-1, 0, 1):
             for q in (-1, 0, 1):
                 for (a, b, c, d), w in _quads(ws):
@@ -591,12 +594,11 @@ def _yangian_defining(graded_unit: bool):
                         Bracket(T(s, a, b), T(q + 1, c, d)),
                         Scale(Bracket(T(s + 1, a, b), T(q, c, d)), -1),
                     )
-                    alpha = (p(c) * p(a) + p(c) * p(b) + p(b) * p(a)) % 2
                     inner = Add(
                         Mul(T(q, c, b), T(s, a, d)),
                         Scale(Mul(T(s, c, b), T(q, a, d)), -1),
                     )
-                    rhs = Scale(inner, f.lam * (-1 if alpha else 1))
+                    rhs = Scale(inner, f.lam * e2_sign(a, b, c))
                     yield Instance(f"s={s} p={q} abcd={a}{b}{c}{d}", lhs, rhs,
                                    weight=w)
 
@@ -627,17 +629,16 @@ _LEVEL_SUMS = tuple((s, q) for s in range(4) for q in range(4 - s))
 
 def _case_level_one_bracket(ws, cfg):
     f = ws.ctx.field
-    p = ws.parity
     for (a, b, c, d), w in _quads(ws):
         lhs = Bracket(ws.yangian_T(1, a, b), ws.yangian_T(1, c, d))
-        beta = (p(b) * p(c) + p(c) * p(d) + p(b) * p(d)) % 2
+        beta = ws.ctx.grading.e2_sign(b, c, d)
         defect = Add(
             Mul(ws.yangian_T(0, a, d), ws.yangian_T(1, c, b)),
             Scale(Mul(ws.yangian_T(1, a, d), ws.yangian_T(0, c, b)), -1),
         )
         rhs = Add(
             _loop_rhs(ws, ws.yangian_T, 2, a, b, c, d),
-            Scale(defect, f.lam * (1 if beta else -1)),
+            Scale(defect, f.lam * -beta),
         )
         yield Instance(f"abcd={a}{b}{c}{d}", lhs, rhs, weight=w)
 
@@ -832,7 +833,7 @@ for _spec in [
     CaseSpec("eq3.5", "yangian",
              "nested level-1 bracket measured by the defect tensor", 1,
              _serre_case("eq3.5", _level("yangian_T", 0),
-                         _level("yangian_T", 1), "tensor_O")),
+                         _level("yangian_T", 1), ModelWorkspace.tensor_O)),
     CaseSpec("eq3.10", "loop",
              "rational tower: level 0 with level 1", 1,
              _tower_case("loop_J", ((0, 1),))),
@@ -862,17 +863,13 @@ for _spec in [
              1, _unification_case(lambda n, m: n - m)),
     CaseSpec("eq3.22", "loop",
              "shifted rational Serre defect matches its tensor", 1,
-             _serre_case("eq3.22", _level("loop_J", 0), _shifted("loop_J"),
-                         "tensor_M")),
+             _shifted_serre_case("eq3.22", lambda f: (1, 0))),
     CaseSpec("eq3.23", "loop",
              "shifted coordinate Serre defect matches its tensor", 1,
-             _serre_case("eq3.23", _level("loop_J", 0), _shifted("loop_K"),
-                         "tensor_N")),
+             _shifted_serre_case("eq3.23", lambda f: (0, 1))),
     CaseSpec("eq3.27", "loop",
              "two-parameter family Serre defect matches its tensor", 1,
-             _serre_case("eq3.27", _level("loop_J", 0),
-                         lambda ws, a, b: ws.q1_family(a, b),
-                         "tensor_P")),
+             _shifted_serre_case("eq3.27", lambda f: (f.aux_x, f.aux_y))),
     CaseSpec("eq3.31", "winf",
              "scalar spin recursion equals the closed form", 1,
              _case_spin_recursion_scalar),

@@ -189,9 +189,9 @@ def test_formal_unit_variants(ws112):
     f = ws112.ctx.field
     inv = f.one / f.lam
     ident = ws112.ctx.identity()
-    assert ws112.t_minus1(1, 1) == ident.scale(inv)
-    assert ws112.t_minus1(2, 2) == ident.scale(-inv)
-    assert ws112.t_minus1(1, 2).is_zero
+    assert ws112.t_minus1(1, 1, True) == ident.scale(inv)
+    assert ws112.t_minus1(2, 2, True) == ident.scale(-inv)
+    assert ws112.t_minus1(1, 2, True).is_zero
     assert ws112.t_minus1(2, 2, False) == ident.scale(inv)
 
 
@@ -213,6 +213,12 @@ def test_defect_tensor_unsigned_on_even_colors(ws102):
     assert ws.tensor_O(1, 1, 1, 1) == (t0.mul(t1) - t1.mul(t0)).scale(-1)
 
 
+def _shifts(ws):
+    """The shifts (x, y) of eq3.22, eq3.23 and eq3.27."""
+    f = ws.ctx.field
+    return ((1, 0), (0, 1), (f.aux_x, f.aux_y))
+
+
 def test_defect_tensors_have_homogeneous_parity(ws112):
     ws = ws112
     cs = list(ws.colors())
@@ -222,10 +228,9 @@ def test_defect_tensors_have_homogeneous_parity(ws112):
                 for d in cs:
                     want = (ws.parity(a) + ws.parity(b)
                             + ws.parity(c) + ws.parity(d)) % 2
-                    for op in (ws.tensor_O(a, b, c, d),
-                               ws.tensor_M(a, b, c, d),
-                               ws.tensor_N(a, b, c, d),
-                               ws.tensor_P(a, b, c, d)):
+                    for op in [ws.tensor_O(a, b, c, d)] + [
+                            ws.tensor_P(a, b, c, d, *xy)
+                            for xy in _shifts(ws)]:
                         if op.is_zero:
                             continue
                         assert op.parity() == want
@@ -238,9 +243,8 @@ def test_defect_tensors_build_their_two_site_factors_once(monkeypatch):
     from colorcs.operators import AlgebraContext
 
     ws = ModelWorkspace(1, 1, 3)
-    names = ("tensor_M", "tensor_N", "tensor_P")
-    for name in names:
-        getattr(ws, name)(1, 2, 2, 1)
+    for xy in _shifts(ws):
+        ws.tensor_P(1, 2, 2, 1, *xy)
     calls = []
     for attr in ("deriv", "scalar"):
         def counted(self, *args, _fn=getattr(AlgebraContext, attr),
@@ -248,28 +252,30 @@ def test_defect_tensors_build_their_two_site_factors_once(monkeypatch):
             calls.append(_attr)
             return _fn(self, *args)
         monkeypatch.setattr(AlgebraContext, attr, counted)
-    second = [getattr(ws, name)(2, 1, 1, 2) for name in names]
+    second = [ws.tensor_P(2, 1, 1, 2, *xy) for xy in _shifts(ws)]
     assert not calls
     monkeypatch.undo()
     # the same operators a workspace builds at that quad first
     fresh = ModelWorkspace(1, 1, 3)
     assert [op.to_str() for op in second] == \
-        [getattr(fresh, name)(2, 1, 1, 2).to_str() for name in names]
+        [fresh.tensor_P(2, 1, 1, 2, *xy).to_str() for xy in _shifts(fresh)]
 
 
 def test_two_parameter_tensor_restricts_to_plain_one(ws112):
+    # symbolic P at an integer shift is P built there, and tensor_O at 0
     ws = ws112
+    f = ws.ctx.field
     for a in ws.colors():
         for b in ws.colors():
             for c in ws.colors():
                 for d in ws.colors():
-                    pt = ws.tensor_P(a, b, c, d)
-                    for x, y, plain in ((0, 0, ws.tensor_O),
-                                        (1, 0, ws.tensor_M),
-                                        (0, 1, ws.tensor_N)):
+                    pt = ws.tensor_P(a, b, c, d, f.aux_x, f.aux_y)
+                    for x, y in ((0, 0), (1, 0), (0, 1)):
                         fixed = pt.substitute_parameter("x", x) \
                             .substitute_parameter("y", y)
-                        assert fixed == plain(a, b, c, d)
+                        assert fixed == ws.tensor_P(a, b, c, d, x, y)
+                    assert ws.tensor_P(a, b, c, d, 0, 0) is \
+                        ws.tensor_O(a, b, c, d)
 
 
 def _spin_recursion(ws):
@@ -381,7 +387,7 @@ def test_registry_resolves_names(ws112):
     assert ws.build("X2") == ws.x_squared()
     assert ws.build("Lc[1,2]") == ws.lax(RATIONAL, "L")[0][1]
     assert ws.build("Ms[2,2]") == ws.lax(TRIG, "M")[1][1]
-    assert ws.build(" Tm1[2,2] ") == ws.t_minus1(2, 2)
+    assert ws.build(" Tm1[2,2] ") == ws.t_minus1(2, 2, True)
 
 
 @pytest.mark.parametrize("bad", [
@@ -417,10 +423,8 @@ _MEMOIZED = {
     "tensor_O": (1, 2, 2, 1),
     "_j_block": (1, 2, 2, 1),
     "_k_block": (2, 1, 1, 2),
-    "tensor_M": (1, 2, 2, 1),
-    "tensor_N": (2, 1, 1, 2),
-    "tensor_P": (1, 1, 2, 2),
-    "q1_family": (1, 2),
+    "tensor_P": (1, 1, 2, 2, 1, 0),
+    "q1_family": (1, 2, 0, 1),
     "x_squared": (),
     "w_gen": (2, 1),
     "w_leading": (2, 1),
@@ -437,6 +441,16 @@ def test_every_builder_is_memoized(ws112):
     for name, args in _MEMOIZED.items():
         build = getattr(ws112, name)
         assert build(*args) is build(*args), name
+
+
+def test_memoized_builders_default_only_the_cut():
+    # the memo keys on positional arguments and takes no keyword but cut,
+    # so a defaulted parameter would give one operator two entries
+    for name, fn in vars(ModelWorkspace).items():
+        if inspect.isfunction(fn) and hasattr(fn, "__wrapped__"):
+            params = inspect.signature(fn.__wrapped__).parameters.values()
+            defaulted = [p.name for p in params if p.default is not p.empty]
+            assert defaulted in ([], ["cut"]), name
 
 
 def test_failed_build_leaves_no_memo_entry():

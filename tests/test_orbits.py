@@ -38,9 +38,12 @@ def colored_builders(ws):
             for p in range(3)]
     out += [(f"Tm1 graded={g}", 2,
              lambda a, b, g=g: ws.t_minus1(a, b, g)) for g in (True, False)]
+    f = ws.ctx.field
+    shifts = ((1, 0), (0, 1), (f.aux_x, f.aux_y))
     out += [("T2 explicit", 2, ws.t2_explicit),
-            ("J0 J0", 2, ws.j0_squared),
-            ("Q1 family", 2, ws.q1_family)]
+            ("J0 J0", 2, ws.j0_squared)]
+    out += [(f"Q1 family {xy}", 2,
+             lambda a, b, xy=xy: ws.q1_family(a, b, *xy)) for xy in shifts]
     out += [(f"J{p}", 2, lambda a, b, p=p: ws.loop_J(p, a, b))
             for p in range(3)]
     out += [(f"K{p}", 2, lambda a, b, p=p: ws.loop_K(p, a, b))
@@ -55,8 +58,10 @@ def colored_builders(ws):
             (f"Q{s},{p} free", 2,
              lambda a, b, s=s, p=p: ws.q_free(s, p, a, b)),
         ]
-    out += [(name, 4, getattr(ws, name))
-            for name in ("tensor_O", "tensor_M", "tensor_N", "tensor_P")]
+    out += [("tensor_O", 4, ws.tensor_O)]
+    out += [(f"tensor_P {xy}", 4,
+             lambda a, b, c, d, xy=xy: ws.tensor_P(a, b, c, d, *xy))
+            for xy in shifts]
     return out
 
 

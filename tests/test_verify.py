@@ -5,6 +5,7 @@ import pytest
 
 from colorcs import verify as vf
 from colorcs.models import ModelWorkspace
+from colorcs.operators import OperatorSum
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,62 @@ def test_brackets_take_the_workspace_operators_themselves(ws112):
         a, b = map(int, kv["ab"])
         assert inst.lhs.a is ws.w_gen(int(kv["s"]), int(kv["p"]))
         assert inst.lhs.b is ws.q_gen(int(kv["s'"]), int(kv["q"]), a, b)
+
+
+def _bracket_operands(node):
+    """Every operand of every Bracket node in an expression tree."""
+    if isinstance(node, vf.Bracket):
+        yield node.a
+        yield node.b
+    if isinstance(node, (vf.Mul, vf.Bracket)):
+        children = (node.a, node.b)
+    elif isinstance(node, vf.Add):
+        children = node.items
+    elif isinstance(node, vf.Scale):
+        children = (node.inner,)
+    else:
+        children = ()
+    for child in children:
+        yield from _bracket_operands(child)
+
+
+def test_every_bracket_operand_is_a_built_operator_or_a_bracket():
+    # the bracket memo keys on operand identity, so it serves a bracket
+    # only when each operand is a bracket or a built operator: the one
+    # object the workspace memo hands to every instance that reads it
+    ws = ModelWorkspace(1, 1, 2)
+    cfg = vf.RunConfig(contexts=((1, 1, 2),), max_spin=2, max_degree=1)
+    for case_id, case in vf.CASES.items():
+        again = list(case.instances(ws, cfg))
+        for one, two in zip(case.instances(ws, cfg), again):
+            assert one.label == two.label
+            for x, y in zip(_bracket_operands(vf.Add(one.lhs, one.rhs)),
+                            _bracket_operands(vf.Add(two.lhs, two.rhs))):
+                where = (case_id, one.label)
+                assert isinstance(x, (OperatorSum, vf.Bracket)), where
+                if isinstance(x, OperatorSum):
+                    assert x is y, where
+
+
+def test_shifted_serre_cases_run_one_family_at_their_shifts(ws112):
+    # eq3.22, eq3.23 and eq3.27 bracket T1 + x J1 + y K1 at (1, 0), (0, 1)
+    # and the symbolic (x, y), against tensor_P at the same shift
+    ws = ws112
+    fd = ws.ctx.field
+    cfg = vf.RunConfig(contexts=((1, 1, 2),))
+    for case_id, (x, y) in (("eq3.22", (1, 0)), ("eq3.23", (0, 1)),
+                            ("eq3.27", (fd.aux_x, fd.aux_y))):
+        for inst in vf.CASES[case_id].instances(ws, cfg):
+            a, b, c, d, e, f = map(int, _label_fields(inst.label)["abcdef"])
+            first, second = inst.lhs.items[0], inst.lhs.items[1].inner
+            family = ws.q1_family(c, d, x, y)
+            assert first.b.a is family
+            assert second.a is ws.q1_family(a, b, x, y)
+            assert family == ws.yangian_T(1, c, d) \
+                + ws.loop_J(1, c, d).scale(x) + ws.loop_K(1, c, d).scale(y)
+            want = vf._serre_rhs(
+                ws, lambda *q: ws.tensor_P(*q, x, y), a, b, c, d, e, f)
+            assert inst.rhs.filtered(0) == want.filtered(0)
 
 
 def test_one_zero_serves_zero_sides_and_passing_residuals(ws112):
