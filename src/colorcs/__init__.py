@@ -6,7 +6,6 @@ and checks algebraic identities (commutation relations, conserved charges,
 generator recursions) exactly, with an independent state-action oracle.
 """
 
-from ._kernel import BACKEND
 from .errors import (
     CapExceededError,
     ColorCSError,
@@ -20,7 +19,6 @@ from .scalar import RationalFunction, ScalarField
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CapExceededError",
     "ColorCSError",
     "ContextMismatchError",

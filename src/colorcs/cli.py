@@ -51,7 +51,8 @@ def _build_parser():
     p.add_argument(
         "--contexts", default="default",
         help="semicolon-separated n,m,N triples (even colors, odd colors, "
-             "sites), or 'default' for 2,0,2;1,1,2;2,1,2;1,1,3")
+             "sites), or 'default' for "
+             + ";".join(",".join(map(str, t)) for t in DEFAULT_CONTEXTS))
 
     run = p.add_argument_group("run selection")
     run.add_argument("--cases", default="all",

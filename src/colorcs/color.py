@@ -5,7 +5,9 @@ unit e(i, a, b) replaces color b by color a at site i.  Units at distinct
 sites supercommute with the sign read off their parities, and a same-site
 pair contracts with a plain delta and no sign.  A word is the normal form
 of a product of units: at most one unit per site, sites ascending, with the
-overall sign and possible vanishing tracked during normalization.
+overall sign and possible vanishing tracked during normalization.  Signed
+sums of unit chains, the graded site swap among them, are operators, built
+by ``AlgebraContext.contracted`` in ``operators``.
 
 Acting on a basis state, a unit picks up the Koszul sign counting odd
 colors strictly left of its site; a word acts with its rightmost (highest
@@ -160,22 +162,6 @@ def word_from_units(ctx, units):
         else:
             slots.insert(pos, (i, a, b))
     return sign, ColorWord(ctx, tuple(slots))
-
-
-def permutation_terms(ctx, i, j):
-    """(coeff, units) pairs summing to the graded site swap between i and j.
-
-    On basis states the sum acts as |..ci..cj..> -> (-1)^{p(ci)p(cj)}
-    |..cj..ci..|, the graded permutation.
-    """
-    if i == j:
-        raise ValueError("swap needs distinct sites")
-    out = []
-    for a in ctx.colors:
-        for b in ctx.colors:
-            coeff = -1 if ctx.parity(b) else 1
-            out.append((coeff, ((i, a, b), (j, b, a))))
-    return out
 
 
 # -- full-support word kernel ------------------------------------------------

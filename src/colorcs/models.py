@@ -300,28 +300,15 @@ class ModelWorkspace:
     # -- signed color contractions --------------------------------------------
 
     @_memoized
-    def contracted_pair(self, i: int, j: int, a: int, b: int) -> OperatorSum:
-        """(E_i E_j)^{ab} = sum_c (-1)^p(c) e(i,a,c) e(j,c,b)."""
-        op = self.ctx.zero()
-        for c in self.colors():
-            sign = -1 if self.parity(c) else 1
-            op = op + self.ctx.from_units([(i, a, c), (j, c, b)], coeff=sign)
-        return op
-
-    @_memoized
-    def contracted_triple(self, i: int, j: int, k: int, a: int, b: int) -> OperatorSum:
-        """(E_i E_j E_k)^{ab}; i and k may coincide."""
-        op = self.ctx.zero()
-        for c in self.colors():
-            for d in self.colors():
-                sign = -1 if (self.parity(c) + self.parity(d)) % 2 else 1
-                op = op + self.ctx.from_units(
-                    [(i, a, c), (j, c, d), (k, d, b)], coeff=sign)
-        return op
+    def contracted(self, sites: tuple, a: int, b: int) -> OperatorSum:
+        """(E_s1 ... E_sk)^{ab} (``AlgebraContext.contracted``) for a
+        tuple of sites, which may recur."""
+        return self.ctx.contracted(sites, a, b)
 
     @_memoized
     def j0_squared(self, c: int, d: int) -> OperatorSum:
-        """(J_0 J_0)^{cd} = sum_e (-1)^p(e) J_0^{ce} J_0^{ed}."""
+        """(J_0 J_0)^{cd} = sum_e (-1)^p(e) J_0^{ce} J_0^{ed}, which is
+        sum_{i != j} (E_i E_j)^{cd} + (n - m) J_0^{cd}."""
         op = self.ctx.zero()
         for e in self.colors():
             sign = -1 if self.parity(e) else 1
@@ -352,7 +339,7 @@ class ModelWorkspace:
                 + (ctx.coord(i).mul(ctx.deriv(i))
                    + ctx.coord(j).mul(ctx.deriv(j))
                    + ctx.identity()).scale(th)
-            two = two + self.contracted_pair(i, j, a, b).mul(inner)
+            two = two + self.contracted((i, j), a, b).mul(inner)
         acc = acc + two.scale(lam)
         three = ctx.zero()
         # i -> j -> k either returns to i or goes on to a third site
@@ -360,7 +347,7 @@ class ModelWorkspace:
                                 self._site_tuples(3))
         for i, j, k in walks:
             kern = f.theta(i, j) * f.theta(j, k)
-            three = three + self.contracted_triple(i, j, k, a, b).scale(kern)
+            three = three + self.contracted((i, j, k), a, b).scale(kern)
         return acc + three.scale(lam * lam)
 
     # -- Serre defect tensors -----------------------------------------------
@@ -392,10 +379,10 @@ class ModelWorkspace:
             tail = tail + ctx.from_units([(i, a, b), (j, c, d)],
                                          coeff=2 * lam / (f.x(i) - f.x(j)))
         for i, j, k in self._site_tuples(3):
-            core = core + self.contracted_pair(i, j, a, d) \
+            core = core + self.contracted((i, j), a, d) \
                 .mul(self.unit(k, c, b)).scale(lam / (f.x(i) - f.x(j)))
             core = core - self.unit(i, a, d) \
-                .mul(self.contracted_pair(j, k, c, b)) \
+                .mul(self.contracted((j, k), c, b)) \
                 .scale(lam / (f.x(j) - f.x(k)))
         return core.scale(ctx.grading.e2_sign(b, c, d)) + tail
 

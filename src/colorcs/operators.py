@@ -123,6 +123,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import product
 
 from .color import (
     GradingContext,
@@ -130,7 +131,6 @@ from .color import (
     full_word_mul,
     full_word_parity,
     full_word_relabel,
-    permutation_terms,
     word_from_units,
 )
 from .errors import (
@@ -232,12 +232,30 @@ class AlgebraContext:
         """The color unit e(i, a, b) as an operator."""
         return self.from_units([(i, a, b)], coeff=coeff, deriv=deriv)
 
-    def swap(self, i: int, j: int):
-        """Graded permutation of sites i and j."""
+    def contracted(self, sites, a: int, b: int):
+        """(E_s1 ... E_sk)^{ab}, the super matrix product of the sites'
+        color units: the sum over the inner colors c1 ... c(k-1), in
+        ``itertools.product`` order, of (-1)^(p(c1) + ... + p(c(k-1)))
+        times the unit chain e(s1,a,c1) e(s2,c1,c2) ... e(sk,c(k-1),b).
+        A site may recur; same-site units contract with a plain delta, so
+        (E_i E_i)^{ab} = (n - m) e(i,a,b), the superdimension."""
+        g = self.grading
         acc = self.zero()
-        for c, units in permutation_terms(self.grading, i, j):
-            acc = acc + self.from_units(units, coeff=c)
+        for inner in product(g.colors, repeat=len(sites) - 1):
+            chain = (a,) + inner + (b,)
+            odd = sum(g.parity(c) for c in inner) & 1
+            acc = acc + self.from_units(zip(sites, chain, chain[1:]),
+                                        coeff=-1 if odd else 1)
         return acc
+
+    def swap(self, i: int, j: int):
+        """Graded permutation of sites i and j, the color trace
+        sum_a (E_i E_j)^{aa}: |..ci..cj..> -> (-1)^(p(ci) p(cj))
+        |..cj..ci..>, times (-1)^(p(ci) + p(cj)) per odd color between."""
+        if i == j:
+            raise ValueError("swap needs distinct sites")
+        return sum((self.contracted((i, j), a, a)
+                    for a in self.grading.colors), self.zero())
 
 
 def _leibniz(g, p, nz, cap, j=0):

@@ -19,6 +19,7 @@ from colorcs.verify import (
     RunConfig,
     compare_to_manifest,
     run_suite,
+    verify_case,
 )
 
 STRUCTURAL = ("eq2.7", "eq2.10", "supercommutation", "p-conjugation")
@@ -231,3 +232,35 @@ def test_criterion_11_mixed_towers_hold_with_the_superdimension():
     assert all(r.oracle_agrees for r in reports)
     assert all(r.instances == (r.n + r.m) ** 4 for r in reports)
     assert not compare_to_manifest(reports, cli.load_manifest(), cfg)
+
+
+ODD_COLOR_CONTEXTS = ((0, 2, 2), (1, 2, 2), (0, 3, 2))
+RULE_CASES = ("eq2.17-plain", "eq3.21", "eq3.21-alt")
+
+
+def test_criterion_12_several_odd_colors(capsys):
+    # with m >= 2 the inner colors of one contraction can be distinct odd
+    # colors; every case but the three rule cases holds there, and those
+    # fail as README's rules predict: eq2.17-plain wherever m > 0, eq3.21
+    # where n - m != 1 and eq3.21-alt where n != m
+    rest = [cid for cid in CASES if cid not in RULE_CASES]
+    t0 = time.perf_counter()
+    rc = cli.main([
+        "--contexts", ";".join(",".join(map(str, c))
+                               for c in ODD_COLOR_CONTEXTS),
+        "--cases", ",".join(rest), "--format", "structured"])
+    elapsed = time.perf_counter() - t0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    print(f"\n[acceptance] catalog at several odd colors: {elapsed:.1f}s")
+    assert rc == 0
+    assert len(reports) == len(rest) * len(ODD_COLOR_CONTEXTS)
+    bad = [(r["id"], r["n"], r["m"], r["N"]) for r in reports
+           if r["verdict"] != "pass" or not r["oracle_agrees"]]
+    assert not bad, bad
+    cfg = RunConfig(contexts=ODD_COLOR_CONTEXTS, cases=RULE_CASES)
+    for context in ODD_COLOR_CONTEXTS:
+        ws = ModelWorkspace(*context)
+        for cid in RULE_CASES:
+            rep = verify_case(ws, CASES[cid], cfg)
+            assert rep.verdict == "fail", (cid, context)
+            assert rep.oracle_agrees, (cid, context)

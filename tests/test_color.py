@@ -10,9 +10,9 @@ from colorcs.color import (
     full_word_act,
     full_word_mul,
     full_word_parity,
-    permutation_terms,
     word_from_units,
 )
+from colorcs.operators import AlgebraContext
 
 
 @pytest.fixture(scope="module")
@@ -98,42 +98,40 @@ def test_action_composes_like_multiplication(sup2):
         assert direct == composed
 
 
-def test_permutation_is_graded_swap(sup2):
-    terms = permutation_terms(sup2, 1, 2)
-    for st in sup2.basis_states():
-        acc = {}
-        for coeff, units in terms:
-            s, w = word_from_units(sup2, units)
-            if not s:
-                continue
-            hit = w.act_basis(st)
-            if hit is None:
-                continue
-            sgn, out = hit
-            acc[out] = acc.get(out, 0) + coeff * s * sgn
-        acc = {k: v for k, v in acc.items() if v}
-        swapped = (st[1], st[0])
-        expect_sign = -1 if (sup2.parity(st[0]) and sup2.parity(st[1])) else 1
-        assert acc == {swapped: expect_sign}
+def _basis_probe(ctx, st):
+    """The color basis state st as a probe of ``OperatorSum.apply_to``."""
+    return {(tuple(st), ctx.zero_deriv): ctx.field.one}
 
 
-def test_permutation_squares_to_identity(sup3):
-    terms = permutation_terms(sup3, 1, 3)
-    for st in sup3.basis_states():
-        acc = {}
-        for c1, u1 in terms:
-            for c2, u2 in terms:
-                s, w = word_from_units(sup3, list(u1) + list(u2))
-                if not s:
-                    continue
-                hit = w.act_basis(st)
-                if hit is None:
-                    continue
-                sgn, out = hit
-                k = out
-                acc[k] = acc.get(k, 0) + c1 * c2 * s * sgn
-        acc = {k: v for k, v in acc.items() if v}
-        assert acc == {st: 1}
+def test_permutation_is_graded_swap():
+    # AlgebraContext.swap, the color trace of the graded contraction, acts
+    # on every basis state as the graded permutation of its two sites
+    for n, m, N, i, j in ((1, 1, 2, 1, 2), (1, 2, 2, 1, 2), (2, 1, 3, 1, 3)):
+        ctx = AlgebraContext(n, m, N)
+        g = ctx.grading
+        swap = ctx.swap(i, j)
+        for st in g.basis_states():
+            swapped = list(st)
+            swapped[i - 1], swapped[j - 1] = st[j - 1], st[i - 1]
+            # the two colors also pass the colors between them
+            pi, pj = g.parity(st[i - 1]), g.parity(st[j - 1])
+            between = sum(g.parity(c) for c in st[i:j - 1])
+            odd = (pi * pj + (pi + pj) * between) % 2
+            assert swap.apply_to(_basis_probe(ctx, st)) == {
+                (tuple(swapped), ctx.zero_deriv):
+                    ctx.field.const(-1 if odd else 1)}, (n, m, N, st)
+    with pytest.raises(ValueError):
+        AlgebraContext(1, 1, 2).swap(2, 2)
+
+
+def test_permutation_squares_to_identity():
+    for n, m, N, i, j in ((2, 1, 3, 1, 3), (1, 2, 2, 1, 2)):
+        ctx = AlgebraContext(n, m, N)
+        swap = ctx.swap(i, j)
+        assert swap.mul(swap) == ctx.identity(), (n, m, N)
+        for st in ctx.grading.basis_states():
+            probe = _basis_probe(ctx, st)
+            assert swap.apply_to(swap.apply_to(probe)) == probe, (n, m, N, st)
 
 
 def rand_full_key(ctx, rng):

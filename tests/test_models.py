@@ -185,6 +185,26 @@ def test_level_two_matches_termwise_expansion_three_sites():
     assert ws.yangian_T(2, 1, 2) == ws.t2_explicit(1, 2)
 
 
+@pytest.mark.parametrize("nmN", [
+    (1, 1, 1), (2, 0, 2), (1, 1, 2), (2, 1, 2), (1, 2, 2), (0, 2, 2),
+    (0, 3, 2), (2, 2, 2), (1, 1, 3),
+], ids=lambda c: "-".join(map(str, c)))
+def test_j0_squared_is_the_contraction_plus_the_superdimension(nmN):
+    # (J0 J0)^{cd} = sum_{i != j} (E_i E_j)^{cd} + (n - m) J0^{cd}: on one
+    # site sum_e (-1)^p(e) e(i,c,e) e(i,e,d) = (n - m) e(i,c,d)
+    ws = ModelWorkspace(*nmN)
+    sdim = ws.n - ws.m
+    for i in range(1, ws.N + 1):
+        for a, b in itertools.product(ws.colors(), repeat=2):
+            assert ws.contracted((i, i), a, b) == \
+                ws.unit(i, a, b).scale(sdim), (i, a, b)
+    for c, d in itertools.product(ws.colors(), repeat=2):
+        pairs = sum((ws.contracted(ij, c, d) for ij in ws._site_tuples(2)),
+                    ws.ctx.zero())
+        assert ws.j0_squared(c, d) == \
+            pairs + ws.loop_J(0, c, d).scale(sdim), (c, d)
+
+
 def test_formal_unit_variants(ws112):
     f = ws112.ctx.field
     inv = f.one / f.lam
@@ -416,8 +436,7 @@ _MEMOIZED = {
     "loop_J": (1, 2, 1),
     "loop_K": (2, 1, 2),
     "j_scalar": (1,),
-    "contracted_pair": (1, 2, 1, 2),
-    "contracted_triple": (1, 2, 1, 1, 2),
+    "contracted": ((1, 2), 1, 2),
     "j0_squared": (1, 2),
     "t2_explicit": (1, 2),
     "tensor_O": (1, 2, 2, 1),
