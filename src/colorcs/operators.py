@@ -26,7 +26,13 @@ way.  Its states are the oracle's exponential probes (see ``verify``):
 amplitudes times powers of formal t_1..t_N times e^(t.x), on which d^p
 acts as (d + t)^p, expanded one factor d_i + t_i at a time.  That is
 separate code from ``mul``'s Leibniz walk, and shares no helper or
-binomial arithmetic with it.
+binomial arithmetic with it.  ``apply_to(state, need)`` returns only the
+components at t-degree >= need: the part t^k d^(p-k) of (d + t)^p moves
+a component at t^e to t^(e+k), so a component whose |e| plus the
+operator's ``reach()`` (its top derivative degree) is below need is
+skipped, and the expansion builds only the parts with |e| + |k| >= need,
+taking no derivative for a part it would drop.  A need of 0 or less
+keeps every part.
 Printing orders words site by site as (a1, b1, ..., aN, bN), through
 ``display_keys``.
 
@@ -278,14 +284,15 @@ def _leibniz(g, p, nz, cap, j=0):
 
 
 class OperatorSum:
-    __slots__ = ("ctx", "terms", "_par", "_poly", "_by_out", "_by_in",
-                 "_neg")
+    __slots__ = ("ctx", "terms", "_par", "_poly", "_reach", "_by_out",
+                 "_by_in", "_neg")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         self.terms = terms
         self._par = None
         self._poly = None
+        self._reach = None
         self._by_out = None
         self._by_in = None
         self._neg = None
@@ -331,6 +338,14 @@ class OperatorSum:
 
     def max_deriv_degree(self):
         return max((sum(p) for _, p in self.terms), default=-1)
+
+    def reach(self):
+        """The most t-degree this operator's action adds to a probe
+        component: its top derivative degree, 0 for a zero operator;
+        cached as the parity is."""
+        if self._reach is None:
+            self._reach = max(self.max_deriv_degree(), 0)
+        return self._reach
 
     def _check(self, other):
         if not isinstance(other, OperatorSum):
@@ -522,24 +537,33 @@ class OperatorSum:
 
     # -- actions and views -----------------------------------------------------
 
-    def apply_to(self, state):
+    def apply_to(self, state, need=0):
         """Apply to an exponential probe state, {(color tuple, t exponents):
         amplitude}, standing for the sum of amplitude * t^e * e^(t.x) |c>;
-        returns the same shape.
+        returns the same shape, holding only the components at t-degree
+        >= need (all of them at a need of 0 or less).
 
         A term f w d^p acts on a component at its in tuple, and d^p acts
         on e^(t.x) A as e^(t.x) (d + t)^p A, which is expanded one factor
-        d_i + t_i at a time, once per component and p (``_shift_power``)."""
+        d_i + t_i at a time, once per component and p (``_shift_power``),
+        building only the parts that can reach need (module docstring)."""
         by_in = self._in_index()
         t0 = self.ctx.zero_deriv
+        reach = self.reach()
         out = {}
         for (c, e), amp in state.items():
             groups = by_in.get(c)
             if groups is None or not amp:
                 continue
+            # the t-degree a part must add to this component
+            low = need - sum(e) if need > 0 else 0
+            if low > reach:
+                continue
             powers = {t0: {t0: amp}}
             for p, terms in groups.items():
-                expanded = _shift_power(powers, p)
+                if low > 0 and sum(p) < low:
+                    continue
+                expanded = _shift_power(powers, p, low)
                 for negative, new_st, f in terms:
                     for d, a in expanded.items():
                         key = (new_st, tuple(x + y for x, y in zip(e, d)))
@@ -667,22 +691,28 @@ def _acc_add(acc, key, val, sign, budget):
             del acc[key]
 
 
-def _shift_power(powers, p):
-    """(d + t)^p applied to a component's amplitude, as {t exponents:
-    amplitude}; ``powers`` holds the powers already expanded for this
-    component, and p extends p - 1_i by one factor d_i + t_i for its last
-    nonzero slot i."""
-    got = powers.get(p)
+def _shift_power(powers, p, low):
+    """The parts of (d + t)^p applied to a component's amplitude at
+    t-degree >= low, as {t exponents: amplitude}; ``powers`` holds the
+    parts already expanded for this component, keyed by p alone when
+    low <= 0 keeps them all and by (p, low) otherwise.  p extends p - 1_i
+    by one factor d_i + t_i for its last nonzero slot i; that factor adds
+    at most 1 to the t-degree, so the parts of p - 1_i at t-degree
+    >= low - 1 are all it needs, and only those already at low are
+    differentiated."""
+    key = p if low <= 0 else (p, low)
+    got = powers.get(key)
     if got is None:
         i = max(k for k, pk in enumerate(p) if pk)
-        prev = _shift_power(powers, p[:i] + (p[i] - 1,) + p[i + 1:])
+        prev = _shift_power(powers, p[:i] + (p[i] - 1,) + p[i + 1:], low - 1)
         got = {}
         for d, a in prev.items():
-            da = a.diff(i)
-            if da:
-                _bump(got, d, da, False)
+            if low <= 0 or sum(d) >= low:
+                da = a.diff(i)
+                if da:
+                    _bump(got, d, da, False)
             _bump(got, d[:i] + (d[i] + 1,) + d[i + 1:], a, False)
-        powers[p] = got
+        powers[key] = got
     return got
 
 

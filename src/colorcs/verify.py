@@ -4,8 +4,8 @@ Every algebraic identity the package claims is registered here as a
 case.  A case expands into instances (one per color tuple, site pair,
 level choice and so on), each holding a left and a right expression
 tree over cached model operators.  A node speaks the operator's own
-protocol (``filtered``, ``parity``, ``apply_to``), so an operator is a
-leaf as it stands.  Each instance is then judged twice:
+protocol (``filtered``, ``parity``, ``reach``, ``apply_to``), so an
+operator is a leaf as it stands.  Each instance is then judged twice:
 
 * symbolically: the trees are collapsed at the instance's derivative
   cut with the canonical operator arithmetic and the residual must
@@ -60,8 +60,8 @@ probe state the residual's action must equal the part of the
 compositional action of the two sides at t-degree >= the cut, and the
 residual must vanish exactly when all those parts do.  The oracle forms
 no operator product, so a truncated residual is never checked through the
-``mul`` that computed it; it applies the full leaves, and a leaf's terms
-below the cut reach only probe components below the cut, which it drops.
+``mul`` that computed it; it applies the full leaves, asking each side
+only for its components at t-degree >= the cut (see below).
 
 Why one probe per color state suffices: the probe for a basis state c is
 e^(t.x) |c> with formal t_1..t_N, a state {(color tuple, t exponents):
@@ -79,9 +79,27 @@ reaches, so the terms of lhs - rhs at degree >= d act on a probe as
 exactly the components of the compositional action at t-degree >= d:
 the probes read a leading-order top off without the full product.
 A state holds no zero amplitude: every step that makes one drops it
-(``operators._bump``, ``Scale``, the oracle's cut and coupling), so a
-state is zero exactly when it is empty.  No node writes into a state
-another node returned; ``Add`` sums into a dict of its own.
+(``operators._bump``, ``Scale``, the oracle's coupling), so a state is
+zero exactly when it is empty.  No node writes into a state another node
+returned; ``Add`` sums into a dict of its own.
+
+Why the oracle may act at its cut: a term f w d^p acts on a component
+t^e A as the parts C(p, k) t^(e+k) (d^(p-k) A), so it never lowers a
+component's t-degree and raises it by at most |p|.  A node's ``reach()``
+bounds what its action adds: a leaf's top derivative degree, the sum of
+the operands' reaches for a product or a bracket, the largest item's for
+a sum, the inner node's for a scaling.  So a component below need - r,
+with r the reach still to act on it, can reach no output component at
+t-degree >= need, and ``apply_to(state, need)`` never builds it: a
+product or a bracket asks the operand that acts first for need minus the
+other operand's reach, and a leaf skips the components and the parts of
+(d + t)^p that cannot get there.  Every action is linear and the kept
+components are sums of kept parts only, so the result is exactly the full
+action's components at t-degree >= need: an exact projection, not an
+approximation.  The reach is read off the leaf whose ``apply_to`` runs
+and the probe set is unchanged, so the prune reads nothing that ``mul``
+computed; the oracle passes the instance's cut as the need of both sides,
+and an exact instance, at cut 0, acts in full.
 
 Why one instance per color orbit suffices: let sigma permute the even
 colors 1..n among themselves and the odd colors n+1..n+m among
@@ -139,8 +157,11 @@ class Expr:
     a leaf as it stands: ``filtered(cut)`` is the node's terms at
     derivative degree >= cut (a cut of 0 or less keeps them all),
     ``parity()`` its word parity, read off the tree so the action path
-    never has to collapse a subtree into an operator product, and
-    ``apply_to(state)`` its action on a probe state."""
+    never has to collapse a subtree into an operator product,
+    ``reach()`` the most t-degree its action adds to a probe component,
+    and ``apply_to(state, need=0)`` the components of its action on a
+    probe state at t-degree >= need (the module docstring says why that
+    is exact)."""
 
     __slots__ = ()
 
@@ -159,8 +180,12 @@ class Mul(Expr):
     def parity(self):
         return (self.a.parity() + self.b.parity()) % 2
 
-    def apply_to(self, state):
-        return self.a.apply_to(self.b.apply_to(state))
+    def reach(self):
+        return self.a.reach() + self.b.reach()
+
+    def apply_to(self, state, need=0):
+        inner = self.b.apply_to(state, _inner_need(need, self.a))
+        return self.a.apply_to(inner, need)
 
 
 class Bracket(Expr):
@@ -183,9 +208,13 @@ class Bracket(Expr):
         # operands in full, as in Mul
         return self.a.filtered(0).bracket(self.b.filtered(0), cut)
 
-    def apply_to(self, state):
-        left = self.a.apply_to(self.b.apply_to(state))
-        right = self.b.apply_to(self.a.apply_to(state))
+    def reach(self):
+        return self.a.reach() + self.b.reach()
+
+    def apply_to(self, state, need=0):
+        a, b = self.a, self.b
+        left = a.apply_to(b.apply_to(state, _inner_need(need, a)), need)
+        right = b.apply_to(a.apply_to(state, _inner_need(need, b)), need)
         return _state_add(left, right, self._sign())
 
 
@@ -205,10 +234,13 @@ class Add(Expr):
         # summands of a well-formed identity share one word parity
         return self.items[0].parity()
 
-    def apply_to(self, state):
+    def reach(self):
+        return max(it.reach() for it in self.items)
+
+    def apply_to(self, state, need=0):
         out = {}
         for it in self.items:
-            for st, amp in it.apply_to(state).items():
+            for st, amp in it.apply_to(state, need).items():
                 _bump(out, st, amp, False)
         return out
 
@@ -226,14 +258,24 @@ class Scale(Expr):
     def parity(self):
         return self.inner.parity()
 
-    def apply_to(self, state):
+    def reach(self):
+        return self.inner.reach()
+
+    def apply_to(self, state, need=0):
         c = self.coeff
         out = {}
-        for st, amp in self.inner.apply_to(state).items():
+        for st, amp in self.inner.apply_to(state, need).items():
             v = amp * c
             if v:
                 out[st] = v
         return out
+
+
+def _inner_need(need, outer):
+    """The need of the operand that acts first, so that `outer`, acting
+    after it, can still reach `need`.  A need of 0 or less asks for every
+    component and is passed on as it is, without walking `outer`."""
+    return need - outer.reach() if need > 0 else need
 
 
 def _state_add(s1, s2, sign: int):
@@ -944,17 +986,15 @@ def _oracle_instance(ws, cfg, inst, residual):
     residual its symbolic verdict was read from; returns (agrees, note),
     the note saying which check failed.
 
-    One check serves both kinds: the composed action of lhs - rhs, kept
-    at t-degree >= the instance's cut (0 for an exact instance), must
-    equal the residual's action on every probe, and the residual must
-    vanish exactly when all those kept actions do.  The oracle forms no
-    operator product."""
+    One check serves both kinds: the composed action of lhs - rhs at
+    t-degree >= the instance's cut (0 for an exact instance), which each
+    side builds alone as its ``apply_to`` need, must equal the residual's
+    full action on every probe, and the residual must vanish exactly when
+    all those actions do.  The oracle forms no operator product."""
     action_zero = True
     for psi in _probe_states(ws):
-        composed = _state_add(inst.lhs.apply_to(psi),
-                              inst.rhs.apply_to(psi), -1)
-        composed = {st: amp for st, amp in composed.items()
-                    if sum(st[1]) >= inst.cut}
+        composed = _state_add(inst.lhs.apply_to(psi, inst.cut),
+                              inst.rhs.apply_to(psi, inst.cut), -1)
         if cfg.lam is not None:
             composed = {st: g for st, amp in composed.items()
                         if (g := amp.substitute_lambda(cfg.lam))}

@@ -593,6 +593,61 @@ def test_oracle_reads_the_top_from_the_cut_up(ws112):
     assert vf._oracle_instance(ws112, cfg, inst, residual) == (True, "")
 
 
+def _at_least(state, need):
+    return {st: amp for st, amp in state.items() if sum(st[1]) >= need}
+
+
+@pytest.mark.parametrize("context", [(1, 1, 2), (2, 1, 2)])
+def test_pruned_action_is_the_full_action_at_the_need(context):
+    # every node type, and trees whose inner operand needs the outer's
+    # reach: a Mul of a Mul, and a Mul whose outer operand is a Bracket
+    ws = ModelWorkspace(*context)
+    odd = ws.n + 1
+    x2 = ws.x_squared()
+    w = ws.w_gen(2, 1)
+    q = ws.q_gen(2, 0, 1, odd)
+    j = ws.loop_J(2, odd, 1)
+    nodes = [x2, w, q, j,
+             vf.Mul(w, q),
+             vf.Bracket(q, j),
+             vf.Bracket(x2, w),
+             vf.Add(vf.Mul(j, q), w, x2),
+             vf.Scale(vf.Bracket(q, j), Fraction(1, 3)),
+             vf.Mul(vf.Mul(j, q), w),
+             vf.Mul(vf.Bracket(q, j), w)]
+    x1 = ws.ctx.field.x(1)
+    states = list(vf._probe_states(ws))
+    states.append({((1,) * ws.N, (1,) + (0,) * (ws.N - 1)): x1 * x1})
+    for node in nodes:
+        reach = node.reach()
+        for psi in states:
+            full = node.apply_to(psi)
+            for need in range(reach + 2):
+                assert node.apply_to(psi, need) == _at_least(full, need), \
+                    (node, psi, need)
+
+
+def test_oracle_builds_only_the_components_its_cut_can_use(monkeypatch):
+    # eq3.36 at (1,1,2), default caps, seed 20257: every operator action
+    # of the verdict is the oracle's, and they return 235 components when
+    # the sides act in full, but 68 when each leaf keeps only what the
+    # instance's cut can still reach
+    ws = ModelWorkspace(1, 1, 2)
+    cfg = vf.RunConfig(contexts=((1, 1, 2),))
+    apply_to = OperatorSum.apply_to
+    returned = []
+
+    def counting(self, state, *need):
+        out = apply_to(self, state, *need)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(OperatorSum, "apply_to", counting)
+    report = vf.verify_case(ws, vf.CASES["eq3.36"], cfg)
+    assert report.verdict == vf.VERDICT_PASS and report.oracle_agrees
+    assert 0 < sum(returned) <= 100
+
+
 def test_oracle_rejects_a_residual_its_probes_cannot_see(ws112, monkeypatch):
     # with the probe of state (1, 1) left out, a residual acting only on
     # that state agrees with the action path on every probe, so only the
